@@ -303,14 +303,14 @@ func benchFleetTable(rng *rand.Rand) *core.QTable {
 // BenchmarkFleetCheckinScale charts the serving tier's scaling curve:
 // one op is the device-facing check-in cycle (table upload over the
 // binary wire + merge round) at fleet sizes from 64 to 10 000 devices,
-// flat against the root and through a 4-aggregator edge tier. In the two-tier topology
-// the cycle's merge is regional — O(fleet/aggregators) instead of
-// O(fleet) — which is where the ≥2× throughput at 10 000 devices comes
-// from; federation to the root is batched off the device-facing path
-// and verified (untimed) after each run by flushing every aggregator
-// and confirming the root's join covers the whole fleet. The
-// 10 000-device floors are gated in BENCH_fleet.json; the smaller
-// points document the curve.
+// flat against the root and through a 4-aggregator edge tier. The
+// merge costs the cells the upload changed, not the fleet, so the
+// flat 1000 : 10 000 ratio shows what still scales with fleet size. In
+// the two-tier topology federation to the root is batched off the
+// device-facing path and verified (untimed) after each run by flushing
+// every aggregator and confirming the root's join covers the whole
+// fleet. The 1000- and 10 000-device floors are gated in
+// BENCH_fleet.json; the 64-device point documents the curve.
 func BenchmarkFleetCheckinScale(b *testing.B) {
 	for _, bc := range []struct {
 		name    string

@@ -21,9 +21,9 @@ func fatalFleet(err error) {
 // iteration every device perturbs one state of its table, re-uploads
 // it (as an X-Fleet-Base-Gen delta or a full table, over the binary or
 // JSON wire), one federated merge round runs, and one merged policy is
-// pulled. With deltas on, that is exactly the O(changed state) cycle
-// the incremental merge path serves; -fleet-delta=false -fleet-wire
-// json reproduces the legacy O(fleet) cycle for comparison.
+// pulled. With deltas on, that is the changed-state cycle devices
+// run; -fleet-delta=false -fleet-wire json reproduces the legacy
+// full-table JSON cycle for comparison.
 func buildFleetWorkload(devices int, wire string, delta bool, seed int64) (func(), string, error) {
 	var binary bool
 	switch wire {

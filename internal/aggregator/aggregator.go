@@ -9,10 +9,10 @@
 // stores), the root is the coordinator, and a federation epoch runs
 // split → local-merge → federated-join phases so no lock — and no
 // single process — spans a whole round. Aggregators forward raw
-// device tables, never regional pre-averages: pre-averaging would
-// reassociate the merge's floating-point sums, and the repo pins the
-// root merge byte-identical to a flat single-tier merge of the same
-// uploads (see cloud.JoinDevices).
+// device tables, so the root merges exactly the flat upload set; the
+// merge is exact and order-independent (see cloud.Merger), which makes
+// the root policy byte-identical to a flat single-tier merge of the
+// same uploads.
 //
 // Backpressure is explicit: the upward queue is hard-bounded, a full
 // queue answers 429 with Retry-After (surfaced to clients as

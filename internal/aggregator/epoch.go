@@ -23,7 +23,7 @@ import (
 //	                continues without it — its queue keeps the tables
 //	                and the next epoch catches up.
 //	root join:      the root merges every key over all device tables
-//	                it now holds (cloud.JoinDevices order), minting
+//	                it now holds, minting
 //	                rollout artifacts when the lifecycle is enabled.
 //
 // The production deployment runs the same phases over the wire: POST

@@ -12,7 +12,6 @@ package cloud
 
 import (
 	"fmt"
-	"sort"
 
 	"nextdvfs/internal/core"
 	"nextdvfs/internal/learner"
@@ -47,137 +46,43 @@ func (c TrainerConfig) WallTimeUS(onDeviceUS int64) int64 {
 // MergeTables federated-averages Q-tables trained on different devices:
 // every state's action values are combined weighted by per-device visit
 // counts, so a device that explored a state thoroughly dominates
-// devices that barely saw it. Tables must share the action-space size.
+// devices that barely saw it. Each merged value is the correctly
+// rounded Σw·q / Σw, independent of the order of tables. Tables must
+// share the action-space size and hold Q-values below MaxAbsQ in
+// magnitude.
 func MergeTables(tables []*core.QTable) (*core.QTable, error) {
-	if len(tables) == 0 {
-		return nil, fmt.Errorf("cloud: nothing to merge")
-	}
+	sets := make([]*learner.TableSet, len(tables))
 	for i, t := range tables {
 		if t == nil {
 			return nil, fmt.Errorf("cloud: table %d is nil", i)
 		}
+		sets[i] = learner.SingleTableSet(t)
 	}
-	actions := tables[0].Actions
-	for i, t := range tables {
-		if t.Actions != actions {
-			return nil, fmt.Errorf("cloud: table %d has %d actions, want %d", i, t.Actions, actions)
-		}
+	merged, err := MergeTableSets(sets)
+	if err != nil {
+		return nil, err
 	}
-	merged := core.NewQTable(actions)
-	type acc struct {
-		sum    []float64
-		weight int
-	}
-	accs := make(map[core.StateKey]*acc, len(tables[0].Q))
-	for _, t := range tables {
-		for s, row := range t.Q {
-			w := t.Visits[s]
-			if w <= 0 {
-				w = 1 // seen but unweighted: count once
-			}
-			a, ok := accs[s]
-			if !ok {
-				a = &acc{sum: make([]float64, actions)}
-				accs[s] = a
-			}
-			for i, v := range row {
-				a.sum[i] += v * float64(w)
-			}
-			a.weight += w
-		}
-		merged.Steps += t.Steps
-		if t.TrainedUS > merged.TrainedUS {
-			merged.TrainedUS = t.TrainedUS // fleet trains in parallel
-		}
-	}
-	for s, a := range accs {
-		row := make([]float64, actions)
-		for i := range row {
-			row[i] = a.sum[i] / float64(a.weight)
-		}
-		merged.Q[s] = row
-		merged.Visits[s] = a.weight
-	}
-	return merged, nil
+	return merged.Primary(), nil
 }
 
 // MergeTableSets federated-averages complete learner table states
 // role-by-role: every set must come from the same learner (same
 // registry name and role layout), and each role merges independently
-// across devices via MergeTables — so a two-estimator Double-Q policy
-// keeps two distinct estimators through a fleet merge instead of
-// collapsing into one.
+// across devices — so a two-estimator Double-Q policy keeps two
+// distinct estimators through a fleet merge instead of collapsing into
+// one. It adds every set to one Merger and rounds once: the same path
+// fleetd's incremental rounds take.
 func MergeTableSets(sets []*learner.TableSet) (*learner.TableSet, error) {
 	if len(sets) == 0 {
 		return nil, fmt.Errorf("cloud: nothing to merge")
 	}
+	m := NewMerger()
 	for i, s := range sets {
-		if s == nil || s.Primary() == nil {
-			return nil, fmt.Errorf("cloud: set %d is empty", i)
+		if err := m.Update(nil, s); err != nil {
+			return nil, fmt.Errorf("cloud: set %d: %w", i, err)
 		}
 	}
-	name := learner.Normalize(sets[0].Learner)
-	roles := make([]string, len(sets[0].Roles))
-	for i, r := range sets[0].Roles {
-		roles[i] = r.Role
-	}
-	for i, s := range sets {
-		if learner.Normalize(s.Learner) != name {
-			return nil, fmt.Errorf("cloud: set %d is from learner %q, fleet has %q",
-				i, learner.Normalize(s.Learner), name)
-		}
-		if len(s.Roles) != len(roles) {
-			return nil, fmt.Errorf("cloud: set %d has %d roles, want %d", i, len(s.Roles), len(roles))
-		}
-		for j, r := range s.Roles {
-			if r.Role != roles[j] {
-				return nil, fmt.Errorf("cloud: set %d role %d is %q, want %q", i, j, r.Role, roles[j])
-			}
-		}
-	}
-	merged := &learner.TableSet{Learner: name, Roles: make([]learner.RoleTable, len(roles))}
-	tables := make([]*core.QTable, len(sets))
-	for j, role := range roles {
-		for i, s := range sets {
-			tables[i] = s.Roles[j].Table
-		}
-		m, err := MergeTables(tables)
-		if err != nil {
-			return nil, fmt.Errorf("cloud: role %q: %w", role, err)
-		}
-		merged.Roles[j] = learner.RoleTable{Role: role, Table: m}
-	}
-	return merged, nil
-}
-
-// JoinDevices is the federated-join phase of a merge epoch: it merges
-// the latest per-device table sets in sorted-device-ID order and
-// returns the merged set alongside that order. Sorting here — rather
-// than at each call site — makes the floating-point association order
-// of the weighted average a property of the device set alone. That is
-// the byte-identity contract the hierarchical fleet leans on: edge
-// aggregators forward raw per-device tables (never partial averages,
-// which would reassociate the float sums), so a root join over the
-// union of any number of aggregator regions is bit-identical to a
-// flat single-tier merge of the same uploads.
-func JoinDevices(uploads map[string]*learner.TableSet) (*learner.TableSet, []string, error) {
-	if len(uploads) == 0 {
-		return nil, nil, fmt.Errorf("cloud: nothing to join")
-	}
-	devices := make([]string, 0, len(uploads))
-	for d := range uploads {
-		devices = append(devices, d)
-	}
-	sort.Strings(devices)
-	sets := make([]*learner.TableSet, len(devices))
-	for i, d := range devices {
-		sets[i] = uploads[d]
-	}
-	merged, err := MergeTableSets(sets)
-	if err != nil {
-		return nil, nil, err
-	}
-	return merged, devices, nil
+	return m.Merge(), nil
 }
 
 // NewArtifact wraps a merge round's output as an unversioned policy

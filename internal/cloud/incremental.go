@@ -1,299 +1,315 @@
 package cloud
 
 import (
+	"fmt"
+	"math"
+	"slices"
+
 	"nextdvfs/internal/core"
 	"nextdvfs/internal/learner"
 )
 
-// Merger is a reusable incremental federated-merge accumulator. A
-// from-scratch JoinDevices rebuilds a fresh accumulator map over every
-// device's full table each round — O(fleet) per merge, the measured
-// bottleneck of the 10k-device check-in cycle. Merger keeps the
-// accumulator state ("arena") alive across rounds: each re-upload is
-// diffed against the rows already in the arena, only the states whose
-// contribution actually changed are marked dirty, and Merge recomputes
-// just those states — in the same sorted-device order as the
-// from-scratch path, term for term, so the float association order is
-// identical and the output is byte-identical to JoinDevices over the
-// same uploads (differential-pinned in the tests). Clean states alias
-// the previous merged rows, which are immutable once published.
+// Merger is the federated merge: per (role, state, action) cell it
+// keeps the exact fixed-point sum Σw·q beside the state's integer
+// weight sum Σw, so the merged value — Σw·q / Σw rounded once to the
+// nearest float64 — is a function of the current contribution set
+// alone, whatever order the contributions arrived or were replaced in.
 //
-// The arena is keyed by the device set and table layout captured at
-// Rebuild. Structural changes — a new device, a learner or role-layout
-// change, a different action count — invalidate it: Upload returns
-// false and the caller runs Rebuild (which is JoinDevices plus arena
-// construction). Merger is not safe for concurrent use; callers
-// serialize (fleetd holds the shard lock).
+// Merger keeps no per-device state. Update swaps one contribution for
+// another: it subtracts the old table's rows and adds the new one's,
+// touching only rows whose values or weight changed, and marks those
+// states dirty. Merge rounds only the dirty cells and aliases every
+// clean state's row from the previous output (published rows are
+// immutable). Steps is an exact sum and TrainedUS a maximum over the
+// current contributions.
+//
+// Merger is not safe for concurrent use; callers serialize (fleetd
+// holds the shard lock).
 type Merger struct {
 	learnerName string
 	actions     int
-	roleNames   []string
-	// devices is the sorted device-ID order — the float association
-	// order of every weighted sum, fixed at Rebuild.
-	devices []string
-	devIdx  map[string]int
-	roles   []*roleArena
-	merged  *learner.TableSet
-	scratch []float64
+	roles       []roleSums
+	merged      *learner.TableSet
+	// cells counts the (state, action) cells held across roles;
+	// maxCells > 0 caps it (see NewBoundedMerger).
+	cells, maxCells int
+	// changed is Update's reusable list of rows to swap.
+	changed []rowChange
 }
 
-// roleArena is one role's accumulator state across the fleet.
-type roleArena struct {
-	// slots maps state → per-device contributions, parallel to
-	// Merger.devices.
-	slots map[core.StateKey]*stateSlot
-	// dirty marks states whose next Merge must recompute.
-	dirty map[core.StateKey]struct{}
-	// steps/trained mirror each device's table metadata; stepsSum is
-	// the maintained exact (integer) sum.
-	steps    []int64
-	trained  []int64
-	stepsSum int64
+// roleSums is one role's accumulator state.
+type roleSums struct {
+	role   string
+	states map[core.StateKey]*stateSums
+	// dirty marks states whose next Merge must round their cells.
+	dirty   map[core.StateKey]struct{}
+	steps   int64
+	trained maxTracker
 }
 
-// stateSlot is one state's contributions, indexed by sorted-device
-// position: device i's row lives at flat[i*actions:(i+1)*actions] and
-// its effective merge weight (>= 1 when present, 0 when absent) at
-// weights[i]. Rows are copied into the flat buffer at Rebuild/Upload
-// so a dirty-state recompute walks contiguous memory instead of
-// chasing one heap pointer per device — the copy costs O(changed
-// rows) per upload, the sequential scan saves a cache miss per device
-// per dirty state, which dominates at fleet scale.
-type stateSlot struct {
-	flat    []float64
-	weights []int
-	n       int // devices contributing; 0 = state no longer exists
+// stateSums is one state's cells: the exact Σw·q per action, the
+// state's weight sum, and how many contributions hold the state.
+type stateSums struct {
+	sum    []fixed
+	weight int64
+	n      int
 }
 
-// row returns device i's contribution, or nil when absent.
-func (s *stateSlot) row(i, actions int) []float64 {
-	if s.weights[i] == 0 {
-		return nil
-	}
-	return s.flat[i*actions : (i+1)*actions]
+// rowChange is one row Update swaps: prow (weight pw) out, row
+// (weight w) in. A nil prow is a new row; a nil st a new state.
+type rowChange struct {
+	role      int
+	s         core.StateKey
+	st        *stateSums
+	prow, row []float64
+	pw, w     int64
 }
 
-// NewMerger returns an empty arena; Rebuild must run before Merge.
+// NewMerger returns an empty merger; the first Update fixes its
+// learner, role layout and action count.
 func NewMerger() *Merger { return &Merger{} }
 
-// Devices reports the device count the arena was built over (0 before
-// Rebuild).
-func (m *Merger) Devices() int { return len(m.devices) }
+// NewBoundedMerger is NewMerger with a memory budget: an Update that
+// would make the merger hold more than maxCells (state, action) cells
+// across all roles is refused before anything is allocated. Every cell
+// costs accWords words even when its values are zero, so a store that
+// merges untrusted uploads bounds its memory with this.
+func NewBoundedMerger(maxCells int) *Merger { return &Merger{maxCells: maxCells} }
 
-// Rebuild recomputes the merge from scratch via JoinDevices — the
-// pinned reference path, so its output IS the from-scratch result —
-// and rebuilds the arena over the given uploads. The uploads map is
-// captured by reference: tables must be treated as immutable until the
-// next Upload replaces them (fleetd's store contract).
-func (m *Merger) Rebuild(uploads map[string]*learner.TableSet) (*learner.TableSet, []string, error) {
-	merged, devices, err := JoinDevices(uploads)
-	if err != nil {
-		return nil, nil, err
-	}
-	first := uploads[devices[0]]
-	m.learnerName = learner.Normalize(first.Learner)
-	m.actions = first.Primary().Actions
-	m.roleNames = make([]string, len(first.Roles))
-	for i, r := range first.Roles {
-		m.roleNames[i] = r.Role
-	}
-	m.devices = devices
-	m.devIdx = make(map[string]int, len(devices))
-	for i, d := range devices {
-		m.devIdx[d] = i
-	}
-	m.scratch = make([]float64, m.actions)
-	m.roles = make([]*roleArena, len(m.roleNames))
-	for r := range m.roleNames {
-		ra := &roleArena{
-			slots:   make(map[core.StateKey]*stateSlot, len(merged.Roles[r].Table.Q)),
-			dirty:   make(map[core.StateKey]struct{}),
-			steps:   make([]int64, len(devices)),
-			trained: make([]int64, len(devices)),
-		}
-		for i, d := range devices {
-			t := uploads[d].Roles[r].Table
-			ra.steps[i] = t.Steps
-			ra.stepsSum += t.Steps
-			ra.trained[i] = t.TrainedUS
-			for s, row := range t.Q {
-				slot := ra.slots[s]
-				if slot == nil {
-					slot = newStateSlot(len(devices), m.actions)
-					ra.slots[s] = slot
-				}
-				copy(slot.flat[i*m.actions:], row)
-				slot.weights[i] = effectiveWeight(t, s)
-				slot.n++
-			}
-		}
-		m.roles[r] = ra
-	}
-	m.merged = merged
-	return merged, devices, nil
-}
-
-func newStateSlot(devices, actions int) *stateSlot {
-	return &stateSlot{flat: make([]float64, devices*actions), weights: make([]int, devices)}
-}
-
-// effectiveWeight is MergeTables' per-device weight rule: the visit
-// count, floored at 1 for states seen but unweighted.
-func effectiveWeight(t *core.QTable, s core.StateKey) int {
+// effectiveWeight is the per-contribution merge weight of a state: the
+// visit count, floored at 1 for states seen but unweighted.
+func effectiveWeight(t *core.QTable, s core.StateKey) int64 {
 	if w := t.Visits[s]; w > 0 {
-		return w
+		return int64(w)
 	}
 	return 1
 }
 
-// Upload integrates a device's replacement table set into the arena,
-// diffing it against the rows already there and dirtying only states
-// whose contribution (row values or weight) changed. It returns false
-// — arena invalidated, caller must Rebuild — on any structural change:
-// a device the arena doesn't know, a different learner or role layout,
-// or a different action count.
-func (m *Merger) Upload(device string, next *learner.TableSet) bool {
-	idx, ok := m.devIdx[device]
-	if !ok {
-		return false
+// Update replaces the contribution prev with next (prev nil: a new
+// contributor). prev must be a set an earlier Update added and that
+// has not been replaced since. Every Q-value must be below MaxAbsQ in
+// magnitude and each state's weight sum must fit an int; fleetd's
+// upload sanitizing guarantees both. On error the merger is unchanged.
+func (m *Merger) Update(prev, next *learner.TableSet) error {
+	if err := m.checkLayout(next); err != nil {
+		return err
 	}
-	if next == nil || next.Primary() == nil ||
-		learner.Normalize(next.Learner) != m.learnerName ||
-		next.Primary().Actions != m.actions ||
-		len(next.Roles) != len(m.roleNames) {
-		return false
-	}
-	for i, r := range next.Roles {
-		if r.Role != m.roleNames[i] || r.Table == nil || r.Table.Actions != m.actions {
-			return false
+	// Validate and collect every changed row before touching a sum, so
+	// an error leaves the merger as it was.
+	m.changed = m.changed[:0]
+	added := 0 // cells that new states would allocate
+	for r, rt := range next.Roles {
+		nt := rt.Table
+		var pt *core.QTable
+		if prev != nil {
+			pt = prev.Roles[r].Table
+		}
+		for s, row := range nt.Q {
+			c := rowChange{role: r, s: s, row: row, w: effectiveWeight(nt, s)}
+			if pt != nil {
+				if prow, ok := pt.Q[s]; ok {
+					c.prow, c.pw = prow, effectiveWeight(pt, s)
+					if c.pw == c.w && slices.Equal(prow, row) {
+						continue
+					}
+				}
+			}
+			if len(row) != nt.Actions {
+				return fmt.Errorf("cloud: state %d has %d action values, want %d", s, len(row), nt.Actions)
+			}
+			for _, v := range row {
+				if !(math.Abs(v) < MaxAbsQ) { // also refuses NaN
+					return fmt.Errorf("cloud: state %d holds Q-value %v, outside ±%g", s, v, MaxAbsQ)
+				}
+			}
+			var have int64
+			if r < len(m.roles) {
+				if c.st = m.roles[r].states[c.s]; c.st != nil {
+					have = c.st.weight - c.pw
+				}
+			}
+			if c.w > math.MaxInt-have {
+				return fmt.Errorf("cloud: state %d: merge weight overflows int", s)
+			}
+			if c.st == nil && m.maxCells > 0 {
+				// Checked per state, so the count never overflows.
+				if added += nt.Actions; added > m.maxCells-m.cells {
+					return fmt.Errorf("cloud: merge would hold more than %d cells (%d held)", m.maxCells, m.cells)
+				}
+			}
+			m.changed = append(m.changed, c)
 		}
 	}
-	for r := range m.roleNames {
-		ra := m.roles[r]
-		t := next.Roles[r].Table
-		ra.stepsSum += t.Steps - ra.steps[idx]
-		ra.steps[idx] = t.Steps
-		ra.trained[idx] = t.TrainedUS
-		// States in the new table: install the row, dirty on change.
-		for s, row := range t.Q {
-			w := effectiveWeight(t, s)
-			slot := ra.slots[s]
-			if slot == nil {
-				slot = newStateSlot(len(m.devices), m.actions)
-				ra.slots[s] = slot
-			}
-			old := slot.row(idx, m.actions)
-			if old == nil {
-				slot.n++
-				ra.dirty[s] = struct{}{}
-			} else if slot.weights[idx] != w || !equalRow(old, row) {
-				ra.dirty[s] = struct{}{}
-			}
-			copy(slot.flat[idx*m.actions:], row)
-			slot.weights[idx] = w
+	if m.roles == nil {
+		m.adoptLayout(next)
+	}
+
+	for _, c := range m.changed {
+		rs := &m.roles[c.role]
+		st := c.st
+		if st == nil {
+			st = &stateSums{sum: make([]fixed, m.actions)}
+			rs.states[c.s] = st
+			m.cells += m.actions
 		}
-		// States the device previously contributed but dropped.
-		for s, slot := range ra.slots {
-			if slot.weights[idx] == 0 {
+		if c.prow != nil {
+			st.addRow(c.prow, -c.pw)
+			st.n--
+		}
+		st.addRow(c.row, c.w)
+		st.n++
+		rs.dirty[c.s] = struct{}{}
+	}
+	for r := range m.roles {
+		rs := &m.roles[r]
+		nt := next.Roles[r].Table
+		if prev == nil {
+			rs.steps += nt.Steps
+			rs.trained.add(nt.TrainedUS)
+			continue
+		}
+		pt := prev.Roles[r].Table
+		// States the contributor dropped.
+		for s, prow := range pt.Q {
+			if _, still := nt.Q[s]; still {
 				continue
 			}
-			if _, still := t.Q[s]; still {
-				continue
-			}
-			slot.weights[idx] = 0
-			slot.n--
-			ra.dirty[s] = struct{}{}
+			st := rs.states[s]
+			st.addRow(prow, -effectiveWeight(pt, s))
+			st.n--
+			rs.dirty[s] = struct{}{}
+		}
+		rs.steps += nt.Steps - pt.Steps
+		if nt.TrainedUS != pt.TrainedUS {
+			rs.trained.remove(pt.TrainedUS)
+			rs.trained.add(nt.TrainedUS)
 		}
 	}
-	return true
+	return nil
 }
 
-func equalRow(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
+// addRow adds w times row to the state's cells and weight.
+func (st *stateSums) addRow(row []float64, w int64) {
+	for a, v := range row {
+		st.sum[a].add(v, w)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	st.weight += w
+}
+
+// checkLayout rejects a set the learner registry does not accept, or
+// whose learner or action count differs from the merger's (the
+// registry pins the role layout to the learner name).
+func (m *Merger) checkLayout(set *learner.TableSet) error {
+	if err := learner.ValidateSet(set); err != nil {
+		return fmt.Errorf("cloud: %w", err)
+	}
+	name, actions := learner.Normalize(set.Learner), set.Primary().Actions
+	if m.roles != nil && (name != m.learnerName || actions != m.actions) {
+		return fmt.Errorf("cloud: set is %s with %d actions, merge has %s with %d",
+			name, actions, m.learnerName, m.actions)
+	}
+	return nil
+}
+
+func (m *Merger) adoptLayout(set *learner.TableSet) {
+	m.learnerName = learner.Normalize(set.Learner)
+	m.actions = set.Primary().Actions
+	m.roles = make([]roleSums, len(set.Roles))
+	for i, r := range set.Roles {
+		m.roles[i] = roleSums{
+			role:   r.Role,
+			states: make(map[core.StateKey]*stateSums),
+			dirty:  make(map[core.StateKey]struct{}),
 		}
 	}
-	return true
 }
 
-// Merge produces the merged set for the arena's current uploads,
-// recomputing only dirty states — each in sorted-device order, the
-// same term order as MergeTables — and aliasing every clean state's
-// row from the previous output. The returned set is freshly allocated
-// (rows shared with prior outputs are immutable); Merge is byte-
-// identical to JoinDevices over the same uploads.
+// Merge returns the merged set for the current contributions: each
+// dirty cell rounded to the nearest float64 of Σw·q / Σw, every clean
+// state's row aliased from the previous output, and states no
+// contribution holds any more dropped. The returned set is freshly
+// allocated (shared rows are immutable). Merge returns nil before the
+// first Update.
 func (m *Merger) Merge() *learner.TableSet {
-	if m.merged == nil {
+	if m.roles == nil {
 		return nil
 	}
-	out := &learner.TableSet{Learner: m.learnerName, Roles: make([]learner.RoleTable, len(m.roleNames))}
-	for r, roleName := range m.roleNames {
-		ra := m.roles[r]
-		prev := m.merged.Roles[r].Table
-		nt := core.NewQTable(m.actions)
-		nt.Q = make(map[core.StateKey][]float64, len(ra.slots))
-		nt.Visits = make(map[core.StateKey]int, len(ra.slots))
-		for s, slot := range ra.slots {
-			if slot.n == 0 {
-				delete(ra.slots, s) // every contributor dropped it
+	out := &learner.TableSet{Learner: m.learnerName, Roles: make([]learner.RoleTable, len(m.roles))}
+	for r := range m.roles {
+		rs := &m.roles[r]
+		var prev *core.QTable
+		if m.merged != nil {
+			prev = m.merged.Roles[r].Table
+		}
+		nt := &core.QTable{
+			Actions: m.actions,
+			Q:       make(map[core.StateKey][]float64, len(rs.states)),
+			Visits:  make(map[core.StateKey]int, len(rs.states)),
+			Steps:   rs.steps,
+		}
+		for s, st := range rs.states {
+			if st.n == 0 {
+				delete(rs.states, s) // every contributor dropped it
+				m.cells -= m.actions
 				continue
 			}
-			if _, dirty := ra.dirty[s]; dirty {
-				row, weight := m.recompute(slot)
+			if _, dirty := rs.dirty[s]; dirty || prev == nil {
+				row := make([]float64, m.actions)
+				for a := range row {
+					row[a] = st.sum[a].quo(st.weight)
+				}
 				nt.Q[s] = row
-				nt.Visits[s] = weight
 			} else {
 				nt.Q[s] = prev.Q[s]
-				nt.Visits[s] = prev.Visits[s]
 			}
+			nt.Visits[s] = int(st.weight)
 		}
-		nt.Steps = ra.stepsSum
-		var trained int64
-		for _, v := range ra.trained {
-			if v > trained {
-				trained = v
-			}
-		}
-		nt.TrainedUS = trained
-		out.Roles[r] = learner.RoleTable{Role: roleName, Table: nt}
-		clear(ra.dirty)
+		nt.TrainedUS = rs.trained.max()
+		out.Roles[r] = learner.RoleTable{Role: rs.role, Table: nt}
+		clear(rs.dirty)
 	}
 	m.merged = out
 	return out
 }
 
-// recompute is MergeTables' inner loop for one state: accumulate
-// weight-scaled rows in device order, divide once by the total weight.
-// Absent devices are skipped by weight, present rows stream out of the
-// slot's flat buffer in order — one sequential pass over contiguous
-// memory.
-func (m *Merger) recompute(slot *stateSlot) ([]float64, int) {
-	sum := m.scratch
-	for i := range sum {
-		sum[i] = 0
+// maxTracker is the maximum of a multiset of int64 values (floored at
+// 0) under insert and remove. Removing the current maximum only marks
+// it stale; a later insert at or above it, or the next read, settles
+// it — so a contributor whose value only grows never forces a rescan.
+type maxTracker struct {
+	count map[int64]int
+	top   int64
+	stale bool
+}
+
+func (t *maxTracker) add(v int64) {
+	if t.count == nil {
+		t.count = make(map[int64]int)
 	}
-	a := m.actions
-	weight := 0
-	for i, w := range slot.weights {
-		if w == 0 {
-			continue
+	t.count[v]++
+	if v >= t.top {
+		t.top, t.stale = v, false
+	}
+}
+
+func (t *maxTracker) remove(v int64) {
+	if t.count[v]--; t.count[v] > 0 {
+		return
+	}
+	delete(t.count, v)
+	if v == t.top {
+		t.stale = true
+	}
+}
+
+func (t *maxTracker) max() int64 {
+	if t.stale {
+		t.top, t.stale = 0, false
+		for v := range t.count {
+			if v > t.top {
+				t.top = v
+			}
 		}
-		fw := float64(w)
-		row := slot.flat[i*a : i*a+a]
-		sum = sum[:len(row)]
-		for j, v := range row {
-			sum[j] += v * fw
-		}
-		weight += w
 	}
-	out := make([]float64, len(sum))
-	fw := float64(weight)
-	for j := range out {
-		out[j] = sum[j] / fw
-	}
-	return out, weight
+	return t.top
 }

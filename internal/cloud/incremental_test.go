@@ -2,6 +2,8 @@ package cloud
 
 import (
 	"fmt"
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -9,25 +11,46 @@ import (
 	"nextdvfs/internal/learner"
 )
 
-// randFillTable populates a table with random rows, mixed visit
-// weights (positive, zero, absent), and metadata — every weight shape
-// MergeTables distinguishes.
+// randRow draws a row mixing ordinary Q-values with the values that
+// stress exact summation (subnormals, ±1e12, -0).
+func randRow(rng *rand.Rand, actions int) []float64 {
+	row := make([]float64, actions)
+	for i := range row {
+		if rng.Intn(4) == 0 {
+			row[i] = hostileFloat(rng)
+			if math.Abs(row[i]) > 1e12 {
+				row[i] = math.Copysign(1e12, row[i]) // fleetd's sanitize clamp
+			}
+		} else {
+			row[i] = rng.NormFloat64()
+		}
+	}
+	return row
+}
+
+// randVisit sets a state's visit count to one of the weight shapes the
+// merge distinguishes: absent or zero (weight 1), ordinary, or the
+// 2^18 sanitize cap.
+func randVisit(rng *rand.Rand, t *core.QTable, s core.StateKey) {
+	switch rng.Intn(5) {
+	case 0:
+		delete(t.Visits, s)
+	case 1:
+		t.Visits[s] = 0
+	case 2:
+		t.Visits[s] = 1 << 18
+	default:
+		t.Visits[s] = 1 + rng.Intn(200)
+	}
+}
+
+// randFillTable populates a table with random rows, every weight shape,
+// and metadata.
 func randFillTable(rng *rand.Rand, t *core.QTable, states int) {
 	for k := 0; k < states; k++ {
 		s := core.StateKey(rng.Intn(120))
-		row := make([]float64, t.Actions)
-		for i := range row {
-			row[i] = rng.NormFloat64()
-		}
-		t.Q[s] = row
-		switch rng.Intn(4) {
-		case 0:
-			// seen but unweighted: exercises the w<=0 → 1 floor
-		case 1:
-			t.Visits[s] = 0
-		default:
-			t.Visits[s] = 1 + rng.Intn(200)
-		}
+		t.Q[s] = randRow(rng, t.Actions)
+		randVisit(rng, t, s)
 	}
 	if rng.Intn(2) == 0 {
 		// A visit count without a row is legal and must not merge.
@@ -49,7 +72,8 @@ func randDeviceSet(rng *rand.Rand, name string, actions int) *learner.TableSet {
 
 // mutateDeviceSet clones a set and perturbs a few states per role —
 // the realistic re-upload shape where most of the table is unchanged,
-// so the incremental path's clean-state aliasing actually engages.
+// so clean-state aliasing engages — including dropped states and
+// weight-only changes.
 func mutateDeviceSet(rng *rand.Rand, prev *learner.TableSet) *learner.TableSet {
 	next := prev.Clone()
 	for _, r := range next.Roles {
@@ -60,21 +84,20 @@ func mutateDeviceSet(rng *rand.Rand, prev *learner.TableSet) *learner.TableSet {
 			case 0: // drop the state entirely
 				delete(t.Q, s)
 				delete(t.Visits, s)
-			case 1: // bump only the weight
+			case 1: // change only the weight
 				if _, ok := t.Q[s]; ok {
-					t.Visits[s] = 1 + rng.Intn(300)
+					randVisit(rng, t, s)
 				}
 			default: // rewrite the row
-				row := make([]float64, t.Actions)
-				for j := range row {
-					row[j] = rng.NormFloat64()
-				}
-				t.Q[s] = row
-				t.Visits[s] = 1 + rng.Intn(200)
+				t.Q[s] = randRow(rng, t.Actions)
+				randVisit(rng, t, s)
 			}
 		}
 		t.Steps += int64(rng.Intn(500))
-		t.TrainedUS += int64(rng.Intn(5_000))
+		t.TrainedUS += int64(rng.Intn(5_000)) - 2_000 // may shrink: the max must follow
+		if t.TrainedUS < 0 {
+			t.TrainedUS = 0
+		}
 	}
 	return next
 }
@@ -88,89 +111,129 @@ func setBytes(t *testing.T, set *learner.TableSet) string {
 	return string(data)
 }
 
-// TestMergerDifferentialByteIdentity is the tentpole pin: across every
-// registered learner, several fleet sizes, and a dozen federation
-// epochs of partial re-uploads (mutations, dropped states, weight-only
-// changes, a mid-run fleet join forcing a rebuild), the incremental
-// Merge output must be byte-identical to a from-scratch JoinDevices
-// over the same uploads.
+// checkAgainstRat compares a merged set with the math/big definition
+// of the merge over the given contributions: per role and state, every
+// value must equal Rat.Float64() of Σw·q / Σw bit for bit, Visits must
+// be Σw, Steps the sum and TrainedUS the maximum.
+func checkAgainstRat(t *testing.T, got *learner.TableSet, sets []*learner.TableSet) {
+	t.Helper()
+	for r, rt := range got.Roles {
+		type ref struct {
+			sum    []big.Rat
+			weight int64
+		}
+		refs := make(map[core.StateKey]*ref)
+		var steps, trained int64
+		for _, set := range sets {
+			tab := set.Roles[r].Table
+			steps += tab.Steps
+			trained = max(trained, tab.TrainedUS)
+			for s, row := range tab.Q {
+				w := effectiveWeight(tab, s)
+				rf := refs[s]
+				if rf == nil {
+					rf = &ref{sum: make([]big.Rat, len(row))}
+					refs[s] = rf
+				}
+				for a, v := range row {
+					var term big.Rat
+					term.SetFloat64(v)
+					term.Mul(&term, new(big.Rat).SetInt64(w))
+					rf.sum[a].Add(&rf.sum[a], &term)
+				}
+				rf.weight += w
+			}
+		}
+		tab := rt.Table
+		if len(tab.Q) != len(refs) {
+			t.Fatalf("role %q: %d merged states, want %d", rt.Role, len(tab.Q), len(refs))
+		}
+		if tab.Steps != steps || tab.TrainedUS != trained {
+			t.Fatalf("role %q: steps/trained = %d/%d, want %d/%d", rt.Role, tab.Steps, tab.TrainedUS, steps, trained)
+		}
+		for s, rf := range refs {
+			row, ok := tab.Q[s]
+			if !ok {
+				t.Fatalf("role %q: state %d missing from the merge", rt.Role, s)
+			}
+			if int64(tab.Visits[s]) != rf.weight {
+				t.Fatalf("role %q state %d: visits %d, want %d", rt.Role, s, tab.Visits[s], rf.weight)
+			}
+			for a := range row {
+				q := new(big.Rat).Quo(&rf.sum[a], new(big.Rat).SetInt64(rf.weight))
+				want, _ := q.Float64()
+				if !sameFloat(row[a], want) {
+					t.Fatalf("role %q state %d action %d: merged %v (%#x), big.Rat %v (%#x)",
+						rt.Role, s, a, row[a], math.Float64bits(row[a]), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestMergerDifferentialByteIdentity is the merge's property test:
+// across every registered learner, several fleet sizes, and a dozen
+// rounds of joins, partial re-uploads, dropped states, weight-only
+// changes and full rewrites, every incremental Merge must equal the
+// math/big definition cell for cell — and a from-scratch
+// MergeTableSets over the same uploads in any shuffled order must
+// reproduce it byte for byte.
 func TestMergerDifferentialByteIdentity(t *testing.T) {
 	for _, name := range learner.Names() {
 		for _, fleet := range []int{1, 3, 17} {
 			t.Run(fmt.Sprintf("%s/fleet=%d", name, fleet), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(7919*fleet + len(name))))
 				uploads := make(map[string]*learner.TableSet)
-				for i := 0; i < fleet; i++ {
-					uploads[fmt.Sprintf("dev-%03d", i)] = randDeviceSet(rng, name, 9)
-				}
+				var ids []string
 				m := NewMerger()
-				got, devices, err := m.Rebuild(uploads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(devices) != fleet || m.Devices() != fleet {
-					t.Fatalf("rebuild saw %d devices, want %d", len(devices), fleet)
-				}
-				want, _, err := JoinDevices(uploads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if setBytes(t, got) != setBytes(t, want) {
-					t.Fatal("rebuild diverges from JoinDevices")
-				}
-
-				ids := func() []string {
-					out := make([]string, 0, len(uploads))
-					for d := range uploads {
-						out = append(out, d)
+				upload := func(d string, next *learner.TableSet) {
+					t.Helper()
+					if err := m.Update(uploads[d], next); err != nil {
+						t.Fatal(err)
 					}
-					return out
-				}
-				for epoch := 0; epoch < 12; epoch++ {
-					all := ids()
-					for j := 1 + rng.Intn(len(all)); j > 0; j-- {
-						d := all[rng.Intn(len(all))]
-						var next *learner.TableSet
-						if rng.Intn(4) == 0 {
-							next = randDeviceSet(rng, name, 9) // full rewrite
-						} else {
-							next = mutateDeviceSet(rng, uploads[d])
-						}
-						uploads[d] = next
-						if !m.Upload(d, next) {
-							t.Fatalf("epoch %d: same-layout re-upload invalidated the arena", epoch)
-						}
+					if _, known := uploads[d]; !known {
+						ids = append(ids, d)
 					}
-					if epoch == 5 {
-						// A device joining mid-run is structural: the arena
-						// must refuse the upload and rebuild cleanly.
-						d := fmt.Sprintf("new-%03d", epoch)
-						next := randDeviceSet(rng, name, 9)
-						if m.Upload(d, next) {
-							t.Fatal("unknown device accepted into the arena")
+					uploads[d] = next
+				}
+				for i := 0; i < fleet; i++ {
+					upload(fmt.Sprintf("dev-%03d", i), randDeviceSet(rng, name, 9))
+				}
+				for round := 0; round < 12; round++ {
+					if round > 0 {
+						for j := 1 + rng.Intn(len(ids)); j > 0; j-- {
+							d := ids[rng.Intn(len(ids))]
+							if rng.Intn(4) == 0 {
+								upload(d, randDeviceSet(rng, name, 9)) // full rewrite
+							} else {
+								upload(d, mutateDeviceSet(rng, uploads[d]))
+							}
 						}
-						uploads[d] = next
-						if _, _, err := m.Rebuild(uploads); err != nil {
-							t.Fatal(err)
+						if round%5 == 0 {
+							upload(fmt.Sprintf("new-%03d", round), randDeviceSet(rng, name, 9))
 						}
 					}
 					got := m.Merge()
-					want, _, err := JoinDevices(uploads)
-					if err != nil {
-						t.Fatal(err)
+					sets := make([]*learner.TableSet, len(ids))
+					for i, d := range ids {
+						sets[i] = uploads[d]
 					}
-					if setBytes(t, got) != setBytes(t, want) {
-						t.Fatalf("%s fleet=%d epoch=%d: incremental merge diverges from scratch merge", name, fleet, epoch)
+					checkAgainstRat(t, got, sets)
+					want := setBytes(t, got)
+					for shuffle := 0; shuffle < 3; shuffle++ {
+						rng.Shuffle(len(sets), func(i, j int) { sets[i], sets[j] = sets[j], sets[i] })
+						scratch, err := MergeTableSets(sets)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if setBytes(t, scratch) != want {
+							t.Fatalf("round %d: merge over a shuffled upload order differs", round)
+						}
 					}
 				}
-				// A merge round with zero uploads (everything clean) must
-				// still reproduce the same bytes.
-				clean := m.Merge()
-				want2, _, err := JoinDevices(uploads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if setBytes(t, clean) != setBytes(t, want2) {
+				// A round with no uploads (everything clean) reproduces the bytes.
+				before := setBytes(t, m.merged)
+				if setBytes(t, m.Merge()) != before {
 					t.Fatal("clean-round merge diverges")
 				}
 			})
@@ -178,43 +241,87 @@ func TestMergerDifferentialByteIdentity(t *testing.T) {
 	}
 }
 
-// TestMergerStructuralInvalidation: every layout change a hostile or
-// reconfigured device could ship must invalidate the arena instead of
-// corrupting it.
-func TestMergerStructuralInvalidation(t *testing.T) {
+// TestMergerRejectsLayoutChanges: every layout change or out-of-domain
+// value a hostile or reconfigured device could ship is refused, and a
+// refused Update leaves the sums untouched.
+func TestMergerRejectsLayoutChanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	uploads := map[string]*learner.TableSet{
-		"dev-0": randDeviceSet(rng, "watkins", 9),
-		"dev-1": randDeviceSet(rng, "watkins", 9),
-	}
+	dev0, dev1 := randDeviceSet(rng, "watkins", 9), randDeviceSet(rng, "watkins", 9)
 	m := NewMerger()
-	if _, _, err := m.Rebuild(uploads); err != nil {
-		t.Fatal(err)
+	for _, s := range []*learner.TableSet{dev0, dev1} {
+		if err := m.Update(nil, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nan := mutateDeviceSet(rng, dev0)
+	nan.Primary().Q[core.StateKey(7)] = []float64{math.NaN(), 0, 0, 0, 0, 0, 0, 0, 0}
+	huge := mutateDeviceSet(rng, dev0)
+	huge.Primary().Q[core.StateKey(7)] = []float64{0, 0, 0, 0, -MaxAbsQ, 0, 0, 0, 0}
+	short := mutateDeviceSet(rng, dev0)
+	short.Primary().Q[core.StateKey(8)] = []float64{1, 2}
+	heavy := mutateDeviceSet(rng, dev0)
+	for s := range dev1.Primary().Q { // a state dev1's weight already counts toward
+		heavy.Primary().Q[s] = make([]float64, 9)
+		heavy.Primary().Visits[s] = math.MaxInt
+		break
 	}
 	cases := map[string]*learner.TableSet{
 		"different learner":      randDeviceSet(rng, "doubleq", 9),
 		"different action count": randDeviceSet(rng, "watkins", 6),
 		"nil set":                nil,
 		"empty set":              {Learner: "watkins"},
+		"non-finite value":       nan,
+		"value at MaxAbsQ":       huge,
+		"short row":              short,
+		"weight overflow":        heavy,
 	}
 	for name, next := range cases {
-		if m.Upload("dev-0", next) {
+		if err := m.Update(dev0, next); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}
-	// The arena stayed intact for valid traffic after the refusals.
-	next := mutateDeviceSet(rng, uploads["dev-1"])
-	uploads["dev-1"] = next
-	if !m.Upload("dev-1", next) {
-		t.Fatal("valid upload refused after structural refusals")
+	next := mutateDeviceSet(rng, dev1)
+	if err := m.Update(dev1, next); err != nil {
+		t.Fatalf("valid upload refused after the rejections: %v", err)
 	}
-	got := m.Merge()
-	want, _, err := JoinDevices(uploads)
-	if err != nil {
+	checkAgainstRat(t, m.Merge(), []*learner.TableSet{dev0, next})
+}
+
+// TestBoundedMergerRefusesOverBudget: a bounded merger refuses any
+// Update whose new states would take it past its cell budget, leaves
+// the sums as they were, and counts cells freed once a merge round
+// drops states no contribution holds.
+func TestBoundedMergerRefusesOverBudget(t *testing.T) {
+	set := func(states ...core.StateKey) *learner.TableSet {
+		tab := core.NewQTable(9)
+		for _, s := range states {
+			tab.Q[s] = []float64{1, 2, 3, 4, 5, 6, 7, 8, float64(s)}
+		}
+		return learner.SingleTableSet(tab)
+	}
+	m := NewBoundedMerger(4 * 9)
+	a := set(1, 2, 3)
+	if err := m.Update(nil, a); err != nil {
 		t.Fatal(err)
 	}
-	if setBytes(t, got) != setBytes(t, want) {
-		t.Fatal("arena corrupted by refused uploads")
+	over := set(4, 5) // one state fits, two do not
+	if err := m.Update(nil, over); err == nil {
+		t.Fatal("update past the cell budget accepted")
+	}
+	b := set(2, 3, 4) // shared states cost nothing
+	if err := m.Update(nil, b); err != nil {
+		t.Fatalf("update within the budget refused: %v", err)
+	}
+	checkAgainstRat(t, m.Merge(), []*learner.TableSet{a, b})
+	if err := m.Update(a, set(2, 3)); err != nil { // drops state 1
+		t.Fatal(err)
+	}
+	if err := m.Update(nil, set(5)); err == nil {
+		t.Fatal("state 1's cells freed before a merge round dropped them")
+	}
+	m.Merge()
+	if err := m.Update(nil, set(5)); err != nil {
+		t.Fatalf("cells of a dropped state not freed: %v", err)
 	}
 }
 
@@ -224,26 +331,24 @@ func TestMergerStructuralInvalidation(t *testing.T) {
 // recomputed.
 func TestMergerAliasesCleanRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	uploads := map[string]*learner.TableSet{
-		"dev-0": randDeviceSet(rng, "watkins", 9),
-		"dev-1": randDeviceSet(rng, "watkins", 9),
-	}
+	dev0, dev1 := randDeviceSet(rng, "watkins", 9), randDeviceSet(rng, "watkins", 9)
 	m := NewMerger()
-	first, _, err := m.Rebuild(uploads)
-	if err != nil {
-		t.Fatal(err)
+	for _, s := range []*learner.TableSet{dev0, dev1} {
+		if err := m.Update(nil, s); err != nil {
+			t.Fatal(err)
+		}
 	}
+	first := m.Merge()
 	// Touch exactly one state on one device.
-	next := uploads["dev-0"].Clone()
+	next := dev0.Clone()
 	var touched core.StateKey
 	for s := range next.Primary().Q {
 		touched = s
 		break
 	}
 	next.Primary().Q[touched][0] += 1
-	uploads["dev-0"] = next
-	if !m.Upload("dev-0", next) {
-		t.Fatal("upload refused")
+	if err := m.Update(dev0, next); err != nil {
+		t.Fatal(err)
 	}
 	second := m.Merge()
 	prevQ := first.Primary().Q
@@ -261,12 +366,141 @@ func TestMergerAliasesCleanRows(t *testing.T) {
 	if aliased != len(second.Primary().Q)-1 {
 		t.Fatalf("clean states reallocated: %d aliased of %d", aliased, len(second.Primary().Q))
 	}
-	// And the recomputed output still matches from-scratch.
-	want, _, err := JoinDevices(uploads)
-	if err != nil {
+	checkAgainstRat(t, second, []*learner.TableSet{next, dev1})
+}
+
+// benchDeviceSet is the perfbench device shape: 64 visited states over
+// the Note 9's 9-action space.
+func benchDeviceSet(rng *rand.Rand) *learner.TableSet {
+	t := core.NewQTable(9)
+	for s := 0; s < 64; s++ {
+		row := make([]float64, 9)
+		for a := range row {
+			row[a] = rng.NormFloat64()
+		}
+		t.Q[core.StateKey(s)] = row
+		t.Visits[core.StateKey(s)] = rng.Intn(200) + 1
+	}
+	return learner.SingleTableSet(t)
+}
+
+// retrain returns a copy of set with n states rewritten, sharing every
+// other row — the shape a delta upload lands in the store as.
+func retrain(rng *rand.Rand, set *learner.TableSet, n int) *learner.TableSet {
+	prev := set.Primary()
+	t := &core.QTable{
+		Actions: prev.Actions,
+		Q:       make(map[core.StateKey][]float64, len(prev.Q)),
+		Visits:  make(map[core.StateKey]int, len(prev.Visits)),
+		Steps:   prev.Steps + int64(n),
+	}
+	for s, row := range prev.Q {
+		t.Q[s] = row
+		t.Visits[s] = prev.Visits[s]
+	}
+	for _, s := range rng.Perm(len(prev.Q))[:n] {
+		row := make([]float64, prev.Actions)
+		for a := range row {
+			row[a] = rng.NormFloat64()
+		}
+		t.Q[core.StateKey(s)] = row
+		t.Visits[core.StateKey(s)]++
+	}
+	return learner.SingleTableSet(t)
+}
+
+// TestMergerUpdateZeroAllocs pins the upload path's allocation budget:
+// once a state's cells exist, swapping contributions allocates nothing.
+func TestMergerUpdateZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	a := benchDeviceSet(rng)
+	b := retrain(rng, a, 4)
+	m := NewMerger()
+	if err := m.Update(nil, a); err != nil {
 		t.Fatal(err)
 	}
-	if setBytes(t, second) != setBytes(t, want) {
-		t.Fatal("single-state merge diverges")
+	cur, other := a, b
+	delta := testing.AllocsPerRun(200, func() {
+		if err := m.Update(cur, other); err != nil {
+			t.Fatal(err)
+		}
+		cur, other = other, cur
+	})
+	first := testing.AllocsPerRun(200, func() {
+		if err := m.Update(nil, a); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if delta != 0 || first != 0 {
+		t.Fatalf("Update allocates: %v/op for a 4-state delta, %v/op for a first upload", delta, first)
 	}
+}
+
+// BenchmarkAccumulatorUpload is the store's per-upload merge cost:
+// delta4 swaps a contribution for one with 4 of its 64 states
+// retrained; first64 adds a new contributor's 64 states.
+func BenchmarkAccumulatorUpload(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	a := benchDeviceSet(rng)
+	next := retrain(rng, a, 4)
+	b.Run("delta4", func(b *testing.B) {
+		m := NewMerger()
+		if err := m.Update(nil, a); err != nil {
+			b.Fatal(err)
+		}
+		cur, other := a, next
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := m.Update(cur, other); err != nil {
+				b.Fatal(err)
+			}
+			cur, other = other, cur
+		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "uploads/s")
+	})
+	b.Run("first64", func(b *testing.B) {
+		m := NewMerger()
+		if err := m.Update(nil, a); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := m.Update(nil, a); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "uploads/s")
+	})
+}
+
+// BenchmarkAccumulatorMerge is one merge round over a 10 000-device
+// key with all 64 states dirty: 576 cells rounded. The untimed part
+// of each op swaps one device's table for a fully retrained one, so
+// every state is dirty when the round starts.
+func BenchmarkAccumulatorMerge(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	m := NewMerger()
+	var last *learner.TableSet
+	for d := 0; d < 10_000; d++ {
+		last = benchDeviceSet(rng)
+		if err := m.Update(nil, last); err != nil {
+			b.Fatal(err)
+		}
+	}
+	m.Merge()
+	cur, other := last, retrain(rng, last, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := m.Update(cur, other); err != nil {
+			b.Fatal(err)
+		}
+		cur, other = other, cur
+		b.StartTimer()
+		m.Merge()
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "merges/s")
 }

@@ -61,10 +61,12 @@ const (
 
 	flagTrained = 1 << 0
 
-	// maxBinActions bounds the per-row allocation a hostile header can
-	// request before any row bytes are checked. Real action spaces are
-	// single digits; 1<<16 leaves room without allowing multi-GB rows.
-	maxBinActions = 1 << 16
+	// maxActions bounds the action count either codec accepts: the
+	// per-row allocation a hostile binary header can request before any
+	// row bytes are checked, and the cells one JSON row can open in the
+	// merge. Real action spaces are single digits; 1<<16 leaves room
+	// without allowing multi-GB rows.
+	maxActions = 1 << 16
 )
 
 // MarshalTableSetBinary encodes a learner table set in the binary wire
@@ -289,7 +291,7 @@ func UnmarshalTableSetBinary(data []byte) (app string, set *TableSet, trained bo
 	if err != nil {
 		return "", nil, false, err
 	}
-	if actions64 == 0 || actions64 > maxBinActions {
+	if actions64 == 0 || actions64 > maxActions {
 		return "", nil, false, fmt.Errorf("core: table for %q has invalid action count %d", app, actions64)
 	}
 	actions := int(actions64)

@@ -169,7 +169,7 @@ func UnmarshalTableSet(data []byte) (app string, set *TableSet, trained bool, er
 	if err = json.Unmarshal(data, &dto); err != nil {
 		return "", nil, false, err
 	}
-	if dto.Actions <= 0 {
+	if dto.Actions <= 0 || dto.Actions > maxActions {
 		return "", nil, false, fmt.Errorf("core: table for %q has invalid action count %d", dto.App, dto.Actions)
 	}
 	primary, err := wireToTable(dto.Actions, dto.Q, dto.Visits)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -183,6 +184,21 @@ func TestUnmarshalTableSetRejectsUnregisteredLearners(t *testing.T) {
 	// Extra roles on a single-table learner are equally malformed.
 	if _, _, _, err := UnmarshalTableSet([]byte(`{"actions":9,"aux":{"b":{"q":{},"visits":{}}}}`)); err == nil {
 		t.Fatal("watkins set with an aux role accepted")
+	}
+}
+
+// TestUnmarshalTableSetCapsActions: the JSON decoder refuses the same
+// action counts the binary codec does, so a hostile upload cannot open
+// millions of merge cells with one row of zeros.
+func TestUnmarshalTableSetCapsActions(t *testing.T) {
+	for _, n := range []int{0, -1, maxActions + 1, 8_000_000} {
+		body := fmt.Sprintf(`{"actions":%d,"q":{},"visits":{}}`, n)
+		if _, _, _, err := UnmarshalTableSet([]byte(body)); err == nil {
+			t.Errorf("actions=%d accepted", n)
+		}
+	}
+	if _, _, _, err := UnmarshalTableSet([]byte(fmt.Sprintf(`{"actions":%d,"q":{},"visits":{}}`, maxActions))); err != nil {
+		t.Errorf("actions=%d refused: %v", maxActions, err)
 	}
 }
 

@@ -9,17 +9,18 @@
 //	PUT  /v1/table     upload one device-trained Q-table (the JSON that
 //	                   core.MarshalTable produces)
 //	POST /v1/merge     run a federated merge round for one app×platform
-//	                   via cloud.MergeTables (visit-weighted averaging)
+//	                   (visit-weighted averaging, cloud.Merger)
 //	GET  /v1/policy    download the current merged policy for app×platform
 //	GET  /v1/apps      list known policies (optionally per platform)
 //	GET  /healthz      liveness + table/device counts
 //	GET  /metrics      Prometheus-style request counts and merge latencies
 //
 // Behind the handlers sits Store, a sharded, mutex-striped in-memory
-// table store keyed by app×platform. A merge round always recomputes
-// from every device's latest upload in sorted-device order, so the
-// served policy is a deterministic function of the upload set — a fleet
-// driven concurrently converges to the byte-identical table a serial
+// table store keyed by app×platform. Each key keeps exact merge sums
+// over every device's latest upload, so a merged value is the correctly
+// rounded visit-weighted mean for any upload order and the served
+// policy is a function of the upload set alone — a fleet driven
+// concurrently converges to the byte-identical table a serial
 // cloud.Fleet.MergeApp of the same uploads produces (pinned by the
 // end-to-end test in internal/fleetsim).
 //

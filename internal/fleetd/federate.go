@@ -14,10 +14,9 @@ import (
 // This file is the root side of the hierarchical fleet: edge
 // aggregators (internal/aggregator) batch device uploads and push them
 // here over POST /v1/federate. The root stores the raw per-device
-// tables exactly as if each device had uploaded directly — never a
-// regional pre-average, which would reassociate the merge's float sums
-// — so a root merge round stays byte-identical to a flat single-tier
-// fleet (see cloud.JoinDevices).
+// tables exactly as if each device had uploaded directly, and the merge
+// is exact and order-independent (see cloud.Merger), so a root merge
+// round is byte-identical to a flat single-tier fleet's.
 
 // FederatedUpload is one device's table relayed by an aggregator: the
 // device and platform that produced it plus the compact wire body the

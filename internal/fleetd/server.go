@@ -55,7 +55,9 @@ type Config struct {
 	MaxFederateBytes int64
 	// MaxDevicesPerKey raises the distinct-devices-per-policy cap for
 	// root servers that absorb whole aggregator regions of raw device
-	// tables (0 → the store default of 4096).
+	// tables (0 → the store default of 4096). It is clamped to
+	// math.MaxInt / 2^18 (8191 on 32-bit platforms) so a merged state's
+	// visit weight always fits an int.
 	MaxDevicesPerKey int
 	// Rollout enables the policy-lifecycle subsystem: merge rounds mint
 	// versioned artifacts that reach the fleet through staged canary

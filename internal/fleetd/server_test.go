@@ -1,7 +1,11 @@
 package fleetd
 
 import (
+	"bytes"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -180,5 +184,64 @@ func TestServerSnapshotWarmRestart(t *testing.T) {
 	afterJSON, _ := core.MarshalTable("spotify", after, true)
 	if string(beforeJSON) != string(afterJSON) {
 		t.Fatal("warm-restarted policy differs from pre-restart policy")
+	}
+}
+
+// TestUploadCellBudgetBoundsHeap: every merge cell holds an exact sum
+// whatever its value, so a small body of zero rows must not open
+// millions of them. An action count above the codecs' cap fails to
+// decode, and a body whose states would take the key past
+// maxCellsPerKey is refused before the merger allocates anything.
+func TestUploadCellBudgetBoundsHeap(t *testing.T) {
+	srv, err := NewServer(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	put := func(device string, body []byte) int {
+		req := httptest.NewRequest("PUT", "/v1/table?platform=note9&device="+device, bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	zeros := func(actions, states int) []byte {
+		row := "[" + strings.Repeat("0,", actions-1) + "0]"
+		var b bytes.Buffer
+		fmt.Fprintf(&b, `{"app":"spotify","actions":%d,"q":{`, actions)
+		for s := 0; s < states; s++ {
+			if s > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, `"%d":%s`, s, row)
+		}
+		b.WriteString(`},"visits":{}}`)
+		return b.Bytes()
+	}
+
+	if code := put("wide", zeros(1<<16+1, 1)); code != http.StatusBadRequest {
+		t.Fatalf("upload with %d actions: status %d, want 400", 1<<16+1, code)
+	}
+	const actions = 1 << 16
+	states := maxCellsPerKey/actions + 1
+	body := zeros(actions, states)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if code := put("tall", body); code != http.StatusBadRequest {
+		t.Fatalf("upload of %d cells: status %d, want 400", states*actions, code)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(srv)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 16<<20 {
+		t.Fatalf("refused %d-byte upload left the heap %d MB larger", len(body), grew>>20)
+	}
+	// The refusal left the key usable by ordinary devices.
+	data, err := core.MarshalTable("spotify", devTable(1), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := put("d0", data); code != http.StatusOK {
+		t.Fatalf("ordinary upload after the refusals: status %d", code)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -67,28 +68,33 @@ func (k Key) validate() error {
 // serialize, which is exactly the ordering a merge round needs.
 const numShards = 16
 
-// Uploads are unauthenticated, so the store bounds both axes an
-// ID-spraying client could grow: distinct app×platform keys per shard
-// and distinct devices per key. Both sit far above any real fleet this
-// repo simulates; hitting one returns an error, never silent eviction.
+// Uploads are unauthenticated, so the store bounds every axis a
+// spraying client could grow: distinct app×platform keys per shard,
+// distinct devices per key, and the (state, action) cells a key's
+// merger holds. Each cell keeps an exact sum of about 150 B whatever its
+// values, so without the cell cap one 16 MB upload of zero rows could
+// pin gigabytes; at 2^20 cells a key's sums stay near 160 MB, about
+// what the largest upload body costs as stored rows. A real table is a
+// few hundred states × 3 actions per cluster. All sit far above any
+// real fleet this repo simulates; hitting one returns an error, never
+// silent eviction.
 const (
 	maxKeysPerShard  = 1024
 	maxDevicesPerKey = 4096
+	maxCellsPerKey   = 1 << 20
 )
 
 // Uploaded tables are attacker-controlled JSON, so every quantity that
 // feeds the federated merge is clamped into ranges the merge cannot
-// overflow. maxVisitWeight bounds a state's visit count: the merge
-// accumulator is a plain int, so the worst-case total weight
-// (maxVisitWeight × maxDevicesPerKey = 2^18 × 2^12 = 2^30) must fit a
-// 32-bit int too — and 2^18 visits of one state is hours of control
-// steps, far beyond any real session. maxQValue bounds Q magnitudes:
-// JSON happily carries 1e308, and summing that across devices (or
-// multiplying by a weight) reaches ±Inf/NaN, which json.Marshal then
-// refuses — one hostile upload would otherwise brick the policy's
-// download and snapshot path until restart. PPDW-reward Q-values are
-// O(1), so 1e12 is astronomically above legitimate data. maxCounter
-// bounds the Steps/TrainedUS bookkeeping sums the same way.
+// overflow. maxVisitWeight bounds a state's visit count: a merged
+// state's weight is the sum of its devices' counts and is served as an
+// int, so deviceCap bounds devices per key by math.MaxInt /
+// maxVisitWeight (8191 on 32-bit platforms) — and 2^18 visits of one
+// state is hours of control steps, far beyond any real session.
+// maxQValue bounds Q magnitudes below the merge's cloud.MaxAbsQ (2^40):
+// PPDW-reward Q-values are O(1), so 1e12 is astronomically above
+// legitimate data, and a hostile value cannot dominate a policy.
+// maxCounter bounds the Steps/TrainedUS bookkeeping sums the same way.
 const (
 	maxVisitWeight = 1 << 18
 	maxQValue      = 1e12
@@ -158,24 +164,15 @@ type entry struct {
 	// uploads holds the latest learner table set per device ID (deep
 	// copies — the store never aliases caller memory). Stored sets are
 	// immutable once inserted: re-uploads replace the map entry with a
-	// fresh set, so a merge round may snapshot references and drop the
-	// shard lock while it computes.
+	// fresh set, and the merger subtracts the replaced set's rows.
 	uploads map[string]*learner.TableSet
 	// merged is the current served policy, nil until the first merge
 	// round (or snapshot restore); round counts merge rounds.
 	merged *learner.TableSet
 	round  int64
-	// uploadGen counts uploads; installedGen records the uploadGen the
-	// currently installed merged set was computed from. Together they
-	// let the phased merge run lock-free: a slow round whose snapshot
-	// predates the installed one never overwrites it backwards.
-	uploadGen    int64
-	installedGen int64
-	// merger is the incremental dirty-state merge arena. Non-nil means
-	// it reflects exactly the current uploads (every accepted upload
-	// either updated it in place or nilled it), so a merge round can
-	// recompute only what changed. Nil means the next round runs the
-	// phased from-scratch path, which rebuilds it.
+	// merger holds the exact merge sums of exactly the current uploads:
+	// every accepted upload swaps its device's old contribution for the
+	// new one, and a merge round rounds only the cells that changed.
 	merger *cloud.Merger
 	// devGen counts accepted uploads per device — the generation a
 	// delta upload must echo to prove its base is the set the store
@@ -183,24 +180,40 @@ type entry struct {
 	devGen map[string]int64
 }
 
+func newEntry() *entry {
+	return &entry{
+		uploads: make(map[string]*learner.TableSet),
+		merger:  cloud.NewBoundedMerger(maxCellsPerKey),
+		devGen:  make(map[string]int64),
+	}
+}
+
 // NewStore returns an empty store with the default per-key device cap.
 func NewStore() *Store { return NewStoreMaxDevices(0) }
 
 // NewStoreMaxDevices returns an empty store accepting up to maxDevices
-// distinct devices per policy key (≤ 0 → the default cap). The root of
-// a hierarchical fleet holds the raw per-device tables of every region
-// — byte-identity with a flat merge demands raw tables, not regional
-// pre-averages — so its cap is sized to the whole fleet, while edge
-// aggregators and standalone servers keep the tighter anti-spray bound.
+// distinct devices per policy key (≤ 0 → the default cap; see deviceCap
+// for the ceiling). The root of a hierarchical fleet holds the raw
+// per-device tables of every region, so its cap is sized to the whole
+// fleet, while edge aggregators and standalone servers keep the
+// tighter anti-spray bound.
 func NewStoreMaxDevices(maxDevices int) *Store {
-	if maxDevices <= 0 {
-		maxDevices = maxDevicesPerKey
-	}
-	s := &Store{maxDevices: maxDevices}
+	s := &Store{maxDevices: int(deviceCap(int64(maxDevices), math.MaxInt))}
 	for i := range s.shards {
 		s.shards[i].entries = make(map[Key]*entry)
 	}
 	return s
+}
+
+// deviceCap resolves a requested per-key device cap on a platform whose
+// int holds at most maxInt: ≤ 0 selects maxDevicesPerKey, and anything
+// above maxInt / maxVisitWeight is clamped there, so a merged state's
+// weight — up to maxVisitWeight per device — always fits an int.
+func deviceCap(requested, maxInt int64) int64 {
+	if requested <= 0 {
+		requested = maxDevicesPerKey
+	}
+	return min(requested, maxInt/maxVisitWeight)
 }
 
 func (s *Store) shardFor(k Key) *storeShard {
@@ -280,7 +293,9 @@ func (s *Store) UploadSetGen(k Key, device string, set *learner.TableSet) (devic
 		return 0, 0, err
 	}
 	sanitizeSet(set)
-	gen = e.install(device, set)
+	if gen, err = e.install(device, set); err != nil {
+		return 0, 0, fmt.Errorf("fleetd: %s: upload from %q: %w", k, device, err)
+	}
 	return len(e.uploads), gen, nil
 }
 
@@ -293,17 +308,19 @@ func (s *Store) entryForUpload(sh *storeShard, k Key, device string, set *learne
 		if len(sh.entries) >= maxKeysPerShard {
 			return nil, fmt.Errorf("fleetd: %s: policy-key limit reached (%d per shard)", k, maxKeysPerShard)
 		}
-		e = &entry{uploads: make(map[string]*learner.TableSet)}
+		e = newEntry()
 		sh.entries[k] = e
 	}
-	if want := e.actions(); want > 0 && set.Primary().Actions != want {
-		return nil, fmt.Errorf("fleetd: %s: upload from %q has %d actions, fleet has %d", k, device, set.Primary().Actions, want)
-	}
 	// ValidateSet already pinned the role layout to the learner name,
-	// so cross-upload consistency reduces to the name itself.
-	if ref := e.anySet(); ref != nil && learner.Normalize(ref.Learner) != learner.Normalize(set.Learner) {
-		return nil, fmt.Errorf("fleetd: %s: upload from %q: learner %q does not match the fleet's %q",
-			k, device, learner.Normalize(set.Learner), learner.Normalize(ref.Learner))
+	// so cross-upload consistency reduces to the name and action count.
+	if ref := e.anySet(); ref != nil {
+		if want := ref.Primary().Actions; set.Primary().Actions != want {
+			return nil, fmt.Errorf("fleetd: %s: upload from %q has %d actions, fleet has %d", k, device, set.Primary().Actions, want)
+		}
+		if learner.Normalize(ref.Learner) != learner.Normalize(set.Learner) {
+			return nil, fmt.Errorf("fleetd: %s: upload from %q: learner %q does not match the fleet's %q",
+				k, device, learner.Normalize(set.Learner), learner.Normalize(ref.Learner))
+		}
 	}
 	if _, seen := e.uploads[device]; !seen && len(e.uploads) >= s.maxDevices {
 		return nil, fmt.Errorf("fleetd: %s: device limit reached (%d)", k, s.maxDevices)
@@ -311,24 +328,17 @@ func (s *Store) entryForUpload(sh *storeShard, k Key, device string, set *learne
 	return e, nil
 }
 
-// install records a sanitized set as the device's latest upload, bumps
-// the generations, and keeps the incremental merge arena in step: a
-// re-upload from a known device updates it in place; anything
-// structural (first upload from a new device, layout change) drops it,
-// and the next merge's from-scratch rebuild recreates it. Callers hold
-// the shard write lock.
-func (e *entry) install(device string, set *learner.TableSet) (gen int64) {
-	_, known := e.uploads[device]
+// install records a sanitized set as the device's latest upload: the
+// merger swaps the device's previous contribution (if any) for it, then
+// the device's generation advances. On error nothing changes. Callers
+// hold the shard write lock.
+func (e *entry) install(device string, set *learner.TableSet) (gen int64, err error) {
+	if err := e.merger.Update(e.uploads[device], set); err != nil {
+		return 0, err
+	}
 	e.uploads[device] = set
-	e.uploadGen++
-	if e.devGen == nil {
-		e.devGen = make(map[string]int64)
-	}
 	e.devGen[device]++
-	if e.merger != nil && (!known || !e.merger.Upload(device, set)) {
-		e.merger = nil
-	}
-	return e.devGen[device]
+	return e.devGen[device], nil
 }
 
 // ErrDeltaBase marks a delta upload whose base generation does not
@@ -373,22 +383,19 @@ func (s *Store) UploadDelta(k Key, device string, delta *learner.TableSet, baseG
 	if have := e.devGen[device]; have != baseGen {
 		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q: %w (base %d, store at %d)", k, device, ErrDeltaBase, baseGen, have)
 	}
+	// ValidateSet pinned both role layouts to their learner names, so
+	// the layouts match when the names and action counts do.
 	if learner.Normalize(delta.Learner) != learner.Normalize(prev.Learner) ||
-		delta.Primary().Actions != prev.Primary().Actions ||
-		len(delta.Roles) != len(prev.Roles) {
+		delta.Primary().Actions != prev.Primary().Actions {
 		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q does not match the stored base layout", k, device)
-	}
-	for i, r := range delta.Roles {
-		if r.Role != prev.Roles[i].Role {
-			return 0, 0, fmt.Errorf("fleetd: %s: delta from %q does not match the stored base layout", k, device)
-		}
 	}
 	// Sanitize the delta, then overlay it on the (already sanitized,
 	// immutable) base into a fresh set: unchanged rows are shared, never
 	// copied — the base stays untouched for in-flight merge snapshots.
 	sanitizeSet(delta)
-	next := applyDelta(prev, delta)
-	gen = e.install(device, next)
+	if gen, err = e.install(device, applyDelta(prev, delta)); err != nil {
+		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q: %w", k, device, err)
+	}
 	return len(e.uploads), gen, nil
 }
 
@@ -424,20 +431,8 @@ func applyDelta(base, delta *learner.TableSet) *learner.TableSet {
 	return next
 }
 
-// actions returns the entry's established action-space size (0 if the
-// entry is still empty). Callers hold the shard lock.
-func (e *entry) actions() int {
-	for _, set := range e.uploads {
-		return set.Primary().Actions
-	}
-	if e.merged != nil {
-		return e.merged.Primary().Actions
-	}
-	return 0
-}
-
 // anySet returns any established set of the entry (an upload, else the
-// merged policy) for learner-layout validation. Callers hold the lock.
+// merged policy) for layout validation. Callers hold the lock.
 func (e *entry) anySet() *learner.TableSet {
 	for _, set := range e.uploads {
 		return set
@@ -458,13 +453,12 @@ type MergeInfo struct {
 	Version int64 `json:"version,omitempty"`
 }
 
-// Merge runs a federated merge round for the key: every device's latest
-// upload, in sorted-device-ID order, through cloud.MergeTables. The
-// merge always recomputes from the full upload set (never incrementally
-// from the previous merged table), so the result is a deterministic
-// function of the uploads — concurrent rounds interleaved with uploads
-// converge to the same table a serial merge of the final upload set
-// produces.
+// Merge runs a federated merge round for the key over every device's
+// latest upload. Each merged value is the correctly rounded visit-
+// weighted mean Σw·q / Σw of its devices' values, so the policy is a
+// function of the upload set alone: whatever order uploads and
+// concurrent rounds interleave in, a round over the same final uploads
+// serves the same bytes.
 func (s *Store) Merge(k Key) (MergeInfo, error) {
 	info, _, err := s.MergeSet(k)
 	return info, err
@@ -475,98 +469,26 @@ func (s *Store) Merge(k Key) (MergeInfo, error) {
 // published set, handed back so the rollout layer can wrap the round's
 // output as a policy artifact without re-locking the shard (and
 // without racing a concurrent round for "which set did my round
-// produce").
-//
-// MergeSet runs as a phased epoch — split → local-merge → join, the
-// doppel coordinator/worker decomposition — so no lock spans the whole
-// round:
-//
-//   - split: snapshot the device→set references and the upload
-//     generation they represent under a brief read lock. Stored sets
-//     are immutable once inserted, so the references stay valid after
-//     the lock drops.
-//   - local-merge: the expensive federated join (cloud.JoinDevices,
-//     sorted-device order) computes with no lock held; uploads and
-//     rounds for other keys proceed concurrently.
-//   - join: install under a brief write lock, guarded by the snapshot's
-//     generation — a slow round whose snapshot predates the installed
-//     set returns the newer installed set instead of overwriting it
-//     backwards.
+// produce"). The round rounds only the cells uploads changed since the
+// last one, under the shard write lock.
 func (s *Store) MergeSet(k Key) (MergeInfo, *learner.TableSet, error) {
 	if err := k.validate(); err != nil {
 		return MergeInfo{}, nil, err
 	}
 	sh := s.shardFor(k)
-
-	// Incremental fast path: when the arena is live it reflects exactly
-	// the current uploads, so the round is a dirty-state recompute —
-	// O(changed state), not O(fleet). It runs under the shard write
-	// lock: the work is milliseconds even at 10k devices, and holding
-	// the lock is what lets the arena absorb the round without the
-	// generation dance the from-scratch path needs.
 	sh.mu.Lock()
-	if e := sh.entries[k]; e != nil && e.merger != nil && len(e.uploads) > 0 {
-		merged := e.merger.Merge()
-		e.merged = merged
-		e.installedGen = e.uploadGen
-		e.round++
-		info := MergeInfo{
-			App: k.App, Platform: k.Platform,
-			Round: e.round, Devices: len(e.uploads), States: merged.Primary().States(),
-		}
-		sh.mu.Unlock()
-		return info, merged, nil
-	}
-	sh.mu.Unlock()
-
-	// Split.
-	sh.mu.RLock()
+	defer sh.mu.Unlock()
 	e := sh.entries[k]
-	var snap map[string]*learner.TableSet
-	var gen int64
-	if e != nil {
-		gen = e.uploadGen
-		snap = make(map[string]*learner.TableSet, len(e.uploads))
-		for d, set := range e.uploads {
-			snap[d] = set
-		}
-	}
-	sh.mu.RUnlock()
-	if len(snap) == 0 {
+	if e == nil || len(e.uploads) == 0 {
 		return MergeInfo{}, nil, fmt.Errorf("fleetd: %s: no device tables to merge", k)
 	}
-
-	// Local-merge (no lock held): the from-scratch join also builds the
-	// incremental arena for future rounds (Rebuild IS JoinDevices plus
-	// arena construction, so this phase's output is unchanged).
-	m := cloud.NewMerger()
-	merged, devices, err := m.Rebuild(snap)
-	if err != nil {
-		return MergeInfo{}, nil, fmt.Errorf("fleetd: %s: %w", k, err)
-	}
-
-	// Join.
-	sh.mu.Lock()
-	if gen >= e.installedGen {
-		e.merged = merged
-		e.installedGen = gen
-	} else {
-		merged = e.merged // a round over newer uploads already installed
-	}
-	// Adopt the arena only if no upload landed while the join computed
-	// (it reflects exactly the snapshot's generation) and no concurrent
-	// round already installed a live one — which uploads since have
-	// been keeping current, making it strictly fresher than ours.
-	if gen == e.uploadGen && e.merger == nil {
-		e.merger = m
-	}
+	merged := e.merger.Merge()
+	e.merged = merged
 	e.round++
-	info := MergeInfo{
+	return MergeInfo{
 		App: k.App, Platform: k.Platform,
-		Round: e.round, Devices: len(devices), States: merged.Primary().States(),
-	}
-	sh.mu.Unlock()
-	return info, merged, nil
+		Round: e.round, Devices: len(e.uploads), States: merged.Primary().States(),
+	}, merged, nil
 }
 
 // Policy returns a deep copy of the key's current merged primary table
@@ -746,12 +668,10 @@ func (s *Store) Restore(dir string) (int, error) {
 				return n, fmt.Errorf("fleetd: restoring %s/%s: %w", p.Name(), f.Name(), err)
 			}
 			sh := s.shardFor(k)
+			e := newEntry()
+			e.merged, e.round = set, 1
 			sh.mu.Lock()
-			sh.entries[k] = &entry{
-				uploads: make(map[string]*learner.TableSet),
-				merged:  set,
-				round:   1,
-			}
+			sh.entries[k] = e
 			sh.mu.Unlock()
 			n++
 		}

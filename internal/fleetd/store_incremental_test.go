@@ -25,11 +25,11 @@ func policyBytes(t *testing.T, s *Store, k Key) string {
 	return string(data)
 }
 
-// TestStoreIncrementalMergeMatchesScratch is the store-level
-// differential pin: across interleaved re-uploads and merge rounds —
-// the pattern that keeps the arena live — every served policy must be
-// byte-identical to a from-scratch JoinDevices over a shadow copy of
-// the same uploads.
+// TestStoreIncrementalMergeMatchesScratch is the store-level pin:
+// across interleaved re-uploads, new devices and merge rounds, every
+// served policy must be byte-identical to a from-scratch
+// cloud.MergeTableSets over a shadow copy of the same uploads, taken in
+// a shuffled order (the merge is exact, so order cannot matter).
 func TestStoreIncrementalMergeMatchesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	s := NewStore()
@@ -49,7 +49,12 @@ func TestStoreIncrementalMergeMatchesScratch(t *testing.T) {
 		if _, err := s.Merge(k); err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := cloud.JoinDevices(shadow)
+		sets := make([]*learner.TableSet, 0, len(shadow))
+		for _, set := range shadow {
+			sets = append(sets, set)
+		}
+		rng.Shuffle(len(sets), func(i, j int) { sets[i], sets[j] = sets[j], sets[i] })
+		want, err := cloud.MergeTableSets(sets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,11 +72,9 @@ func TestStoreIncrementalMergeMatchesScratch(t *testing.T) {
 	}
 	check(0)
 	for round := 1; round <= 10; round++ {
-		// Re-upload a random subset (keeps the arena live) ...
 		for j := 1 + rng.Intn(4); j > 0; j-- {
 			upload(fmt.Sprintf("dev-%03d", rng.Intn(6)), rng.Intn(40)+1)
 		}
-		// ... and occasionally a brand-new device (invalidates it).
 		if round%4 == 0 {
 			upload(fmt.Sprintf("late-%03d", round), rng.Intn(40)+1)
 		}
@@ -192,7 +195,7 @@ func TestStoreDeltaAfterRestoreFallsBack(t *testing.T) {
 }
 
 // TestStoreSnapshotRestoreConcurrentWithTraffic gives the race job
-// real contention on the new incremental path: uploads, deltas, merge
+// real contention on the incremental merge path: uploads, deltas, merge
 // rounds, snapshots, restores into a second store, and policy reads
 // all run concurrently. Correctness here is "no race, no panic, every
 // operation either succeeds or fails cleanly"; byte-identity under

@@ -165,6 +165,9 @@ func TestStoreRejectsPathTraversalNames(t *testing.T) {
 // accumulator (json.Marshal refuses Inf, which would brick the policy
 // download and snapshot path for the key).
 func TestStoreClampsHostileUploads(t *testing.T) {
+	if maxQValue >= cloud.MaxAbsQ {
+		t.Fatalf("sanitize clamp %g does not fit the merge's bound %g", maxQValue, cloud.MaxAbsQ)
+	}
 	s := NewStore()
 	k := Key{App: "spotify", Platform: "note9"}
 	for _, dev := range []string{"d0", "d1"} {
@@ -244,6 +247,31 @@ func TestStoreBoundsDevicesPerKey(t *testing.T) {
 	// A device already in the fleet may still refresh its table.
 	if _, err := s.Upload(k, "dev-00000000", small()); err != nil {
 		t.Fatalf("re-upload at cap rejected: %v", err)
+	}
+}
+
+// TestDeviceCapKeepsMergeWeightInInt: the per-key device cap is clamped
+// so a merged state's weight (up to maxVisitWeight per device) fits the
+// platform's int. The arithmetic runs on int64 with each platform's
+// MaxInt, so the 32-bit bound is checked on every host.
+func TestDeviceCapKeepsMergeWeightInInt(t *testing.T) {
+	for _, c := range []struct {
+		requested, maxInt, want int64
+	}{
+		{0, math.MaxInt32, maxDevicesPerKey},
+		{-5, math.MaxInt64, maxDevicesPerKey},
+		{10_000, math.MaxInt64, 10_000},
+		{10_000, math.MaxInt32, 8191},
+		{math.MaxInt64, math.MaxInt64, math.MaxInt64 / maxVisitWeight},
+	} {
+		got := deviceCap(c.requested, c.maxInt)
+		if got != c.want {
+			t.Errorf("deviceCap(%d, %d) = %d, want %d", c.requested, c.maxInt, got, c.want)
+		}
+		if got*maxVisitWeight > c.maxInt {
+			t.Errorf("deviceCap(%d, %d) = %d lets a merged weight reach %d > %d",
+				c.requested, c.maxInt, got, got*maxVisitWeight, c.maxInt)
+		}
 	}
 }
 

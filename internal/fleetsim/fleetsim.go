@@ -7,8 +7,8 @@
 //
 // Determinism carries through the network: device i trains from seed
 // base+(i+1)*7919 (the same derivation nextdvfs.NewFleet uses), the
-// server merges uploads in sorted-device order, and a final merge after
-// all traffic lands on a table byte-identical to a serial
+// server's merge is exact and independent of upload order, and a final
+// merge after all traffic lands on a table byte-identical to a serial
 // cloud.Fleet.MergeApp of the same per-device tables — the end-to-end
 // test pins this at 64 devices.
 package fleetsim

@@ -242,8 +242,8 @@ func TestFleetRunValidation(t *testing.T) {
 // A heterogeneous scenario fleet: devices rotate through three usage
 // presets, every app any scenario visits is uploaded and federated, and
 // each per-app merge is byte-identical to a serial cloud.MergeTables of
-// the same device tables in device order — policies trained on
-// different usage genuinely blend.
+// the same device tables — policies trained on different usage
+// genuinely blend.
 func TestFleetScenarioHeterogeneousMerge(t *testing.T) {
 	_, url, done := startServer(t)
 	defer done()

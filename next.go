@@ -454,7 +454,8 @@ type FleetServeOptions struct {
 	Rollout *RolloutConfig
 	// MaxDevicesPerKey bounds how many device tables one policy retains
 	// (0 → 4096). Raise it on a root that absorbs federated uploads from
-	// aggregators fronting more devices than that.
+	// aggregators fronting more devices than that. It is clamped to
+	// math.MaxInt / 2^18 (8191 on 32-bit platforms).
 	MaxDevicesPerKey int
 }
 
