@@ -7,7 +7,8 @@
 //	nextprof -scenario gaming-marathon -top 20
 //	nextprof -fig 7 -platform sd855       # profile the Fig. 7 matrix
 //	nextprof -sweep 8                     # profile the lockstep batched engine, k=8
-//	nextprof -fleet 256                   # profile the fleet check-in cycle, 256 devices
+//	nextprof -fleet 256                   # profile the fleet check-in cycle, 256 devices;
+//	                                      # also prints the live heap per device after a forced GC
 //	nextprof -fleet 256 -fleet-wire json -fleet-delta=false
 //	nextprof -benchtime 10s -cpuprofile cpu.prof -memprofile mem.prof
 //
@@ -38,7 +39,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "simulation seed")
 	scale := flag.Float64("scale", 0.01, "scenario duration scale factor (1.0 = full-length preset)")
 	sweep := flag.Int("sweep", 0, "profile the batched lockstep path: step N lanes of the scenario through one sim.BatchEngine per iteration (0 = scalar engine)")
-	fleet := flag.Int("fleet", 0, "profile the fleet check-in cycle instead: N devices re-upload a perturbed table, one merge round runs, one policy is pulled, per iteration")
+	fleet := flag.Int("fleet", 0, "profile the fleet check-in cycle instead: N devices re-upload a perturbed table, one merge round runs, one policy is pulled, per iteration; prints the live heap per device after a forced GC")
 	fleetWire := flag.String("fleet-wire", "binary", "fleet wire codec: binary or json")
 	fleetDelta := flag.Bool("fleet-delta", true, "fleet uploads send X-Fleet-Base-Gen deltas (false = full tables)")
 	benchtime := flag.Duration("benchtime", 2*time.Second, "minimum wall-clock time to keep the workload running")
@@ -102,6 +103,12 @@ func main() {
 		os.Exit(1)
 	}
 	runtime.GC()
+	// The fleet's live heap after a forced collection, per device: the
+	// server's stored tables, the uploaders' acked bases and the
+	// devices' own training tables.
+	var live runtime.MemStats
+	runtime.ReadMemStats(&live)
+	runtime.KeepAlive(run)
 	if err := pprof.WriteHeapProfile(memF); err != nil {
 		fmt.Fprintln(os.Stderr, "nextprof:", err)
 		os.Exit(1)
@@ -111,8 +118,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("%d iterations in %s (%.1f ms/iteration)\n\n",
+	fmt.Printf("%d iterations in %s (%.1f ms/iteration)\n",
 		iters, elapsed.Round(time.Millisecond), float64(elapsed.Milliseconds())/float64(iters))
+	if *fleet > 0 {
+		fmt.Printf("live heap after GC: %.1f MiB, %d B per device\n",
+			float64(live.HeapAlloc)/(1<<20), live.HeapAlloc/uint64(*fleet))
+	}
+	fmt.Println()
 
 	if err := printProfile("CPU", *cpuOut, "cpu", *topN); err != nil {
 		fmt.Fprintln(os.Stderr, "nextprof:", err)

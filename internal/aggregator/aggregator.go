@@ -539,6 +539,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) int {
 	devices := len(s.devices)
 	s.devMu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.write(w, s.queue.depth(), s.cfg.QueueLimit, keys, merged, uploads, devices)
+	s.metrics.write(w, s.queue.depth(), s.cfg.QueueLimit, keys, merged, uploads, devices, s.store.DeviceTableBytes())
 	return http.StatusOK
 }

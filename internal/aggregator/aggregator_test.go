@@ -512,3 +512,24 @@ func TestFederateRejectsPoisonedItemsIndividually(t *testing.T) {
 		t.Fatalf("bad agg ID error = %v", err)
 	}
 }
+
+// TestEdgeMetricsReportDeviceTableBytes: the edge's /metrics carries
+// the packed bytes its local store holds, like fleetd's.
+func TestEdgeMetricsReportDeviceTableBytes(t *testing.T) {
+	_, rootTS := newRoot(t, fleetd.Config{})
+	agg, client := newEdge(t, Config{ID: "agg-a", Root: rootTS.URL})
+	if _, err := client.UploadTable("dev-000", "note9", "spotify", devTable(1)); err != nil {
+		t.Fatal(err)
+	}
+	held := agg.Store().DeviceTableBytes()
+	if held <= 0 {
+		t.Fatalf("local store reports %d table bytes after an upload", held)
+	}
+	text, err := client.MetricsText()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("fleetd_device_table_bytes %d\n", held); !strings.Contains(text, want) {
+		t.Fatalf("edge metrics missing %q in:\n%s", want, text)
+	}
+}

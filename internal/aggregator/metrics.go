@@ -74,7 +74,7 @@ func (m *Metrics) Rejected() int64 { return m.rejected.Load() }
 
 // write renders the Prometheus text exposition. Queue and store gauges
 // are passed in so the page reflects live state.
-func (m *Metrics) write(w io.Writer, pending, queueLimit, keys, merged, uploads, devices int) {
+func (m *Metrics) write(w io.Writer, pending, queueLimit, keys, merged, uploads, devices int, tableBytes int64) {
 	fmt.Fprintf(w, "# HELP agg_uptime_seconds Seconds since the aggregator started.\n")
 	fmt.Fprintf(w, "# TYPE agg_uptime_seconds gauge\n")
 	fmt.Fprintf(w, "agg_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
@@ -123,6 +123,9 @@ func (m *Metrics) write(w io.Writer, pending, queueLimit, keys, merged, uploads,
 	fmt.Fprintf(w, "# HELP agg_device_tables Device tables held in the local store.\n")
 	fmt.Fprintf(w, "# TYPE agg_device_tables gauge\n")
 	fmt.Fprintf(w, "agg_device_tables %d\n", uploads)
+	fmt.Fprintf(w, "# HELP fleetd_device_table_bytes Bytes of packed device rows the local store holds for merging, summed over policies.\n")
+	fmt.Fprintf(w, "# TYPE fleetd_device_table_bytes gauge\n")
+	fmt.Fprintf(w, "fleetd_device_table_bytes %d\n", tableBytes)
 	fmt.Fprintf(w, "# HELP agg_devices_seen Distinct devices that have checked in at this edge.\n")
 	fmt.Fprintf(w, "# TYPE agg_devices_seen gauge\n")
 	fmt.Fprintf(w, "agg_devices_seen %d\n", devices)

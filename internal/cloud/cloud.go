@@ -12,6 +12,7 @@ package cloud
 
 import (
 	"fmt"
+	"strconv"
 
 	"nextdvfs/internal/core"
 	"nextdvfs/internal/learner"
@@ -78,7 +79,7 @@ func MergeTableSets(sets []*learner.TableSet) (*learner.TableSet, error) {
 	}
 	m := NewMerger()
 	for i, s := range sets {
-		if err := m.Update(nil, s); err != nil {
+		if err := m.Upload(strconv.Itoa(i), s); err != nil {
 			return nil, fmt.Errorf("cloud: set %d: %w", i, err)
 		}
 	}

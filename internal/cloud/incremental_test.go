@@ -102,6 +102,12 @@ func mutateDeviceSet(rng *rand.Rand, prev *learner.TableSet) *learner.TableSet {
 	return next
 }
 
+// effectiveWeight is the merge weight of a state in a map-based table.
+func effectiveWeight(t *core.QTable, s core.StateKey) int64 {
+	v, ok := t.Visits[s]
+	return weightOf(v, ok)
+}
+
 func setBytes(t *testing.T, set *learner.TableSet) string {
 	t.Helper()
 	data, err := core.MarshalTableSetCompact("app", set, true)
@@ -188,7 +194,7 @@ func TestMergerDifferentialByteIdentity(t *testing.T) {
 				m := NewMerger()
 				upload := func(d string, next *learner.TableSet) {
 					t.Helper()
-					if err := m.Update(uploads[d], next); err != nil {
+					if err := m.Upload(d, next); err != nil {
 						t.Fatal(err)
 					}
 					if _, known := uploads[d]; !known {
@@ -248,8 +254,8 @@ func TestMergerRejectsLayoutChanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	dev0, dev1 := randDeviceSet(rng, "watkins", 9), randDeviceSet(rng, "watkins", 9)
 	m := NewMerger()
-	for _, s := range []*learner.TableSet{dev0, dev1} {
-		if err := m.Update(nil, s); err != nil {
+	for i, s := range []*learner.TableSet{dev0, dev1} {
+		if err := m.Upload(fmt.Sprint("dev", i), s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -276,12 +282,12 @@ func TestMergerRejectsLayoutChanges(t *testing.T) {
 		"weight overflow":        heavy,
 	}
 	for name, next := range cases {
-		if err := m.Update(dev0, next); err == nil {
+		if err := m.Upload("dev0", next); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}
 	next := mutateDeviceSet(rng, dev1)
-	if err := m.Update(dev1, next); err != nil {
+	if err := m.Upload("dev1", next); err != nil {
 		t.Fatalf("valid upload refused after the rejections: %v", err)
 	}
 	checkAgainstRat(t, m.Merge(), []*learner.TableSet{dev0, next})
@@ -301,26 +307,26 @@ func TestBoundedMergerRefusesOverBudget(t *testing.T) {
 	}
 	m := NewBoundedMerger(4 * 9)
 	a := set(1, 2, 3)
-	if err := m.Update(nil, a); err != nil {
+	if err := m.Upload("a", a); err != nil {
 		t.Fatal(err)
 	}
 	over := set(4, 5) // one state fits, two do not
-	if err := m.Update(nil, over); err == nil {
+	if err := m.Upload("over", over); err == nil {
 		t.Fatal("update past the cell budget accepted")
 	}
 	b := set(2, 3, 4) // shared states cost nothing
-	if err := m.Update(nil, b); err != nil {
+	if err := m.Upload("b", b); err != nil {
 		t.Fatalf("update within the budget refused: %v", err)
 	}
 	checkAgainstRat(t, m.Merge(), []*learner.TableSet{a, b})
-	if err := m.Update(a, set(2, 3)); err != nil { // drops state 1
+	if err := m.Upload("a", set(2, 3)); err != nil { // drops state 1
 		t.Fatal(err)
 	}
-	if err := m.Update(nil, set(5)); err == nil {
+	if err := m.Upload("c", set(5)); err == nil {
 		t.Fatal("state 1's cells freed before a merge round dropped them")
 	}
 	m.Merge()
-	if err := m.Update(nil, set(5)); err != nil {
+	if err := m.Upload("c", set(5)); err != nil {
 		t.Fatalf("cells of a dropped state not freed: %v", err)
 	}
 }
@@ -333,8 +339,8 @@ func TestMergerAliasesCleanRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	dev0, dev1 := randDeviceSet(rng, "watkins", 9), randDeviceSet(rng, "watkins", 9)
 	m := NewMerger()
-	for _, s := range []*learner.TableSet{dev0, dev1} {
-		if err := m.Update(nil, s); err != nil {
+	for i, s := range []*learner.TableSet{dev0, dev1} {
+		if err := m.Upload(fmt.Sprint("dev", i), s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -347,7 +353,7 @@ func TestMergerAliasesCleanRows(t *testing.T) {
 		break
 	}
 	next.Primary().Q[touched][0] += 1
-	if err := m.Update(dev0, next); err != nil {
+	if err := m.Upload("dev0", next); err != nil {
 		t.Fatal(err)
 	}
 	second := m.Merge()
@@ -384,75 +390,153 @@ func benchDeviceSet(rng *rand.Rand) *learner.TableSet {
 	return learner.SingleTableSet(t)
 }
 
-// retrain returns a copy of set with n states rewritten, sharing every
-// other row — the shape a delta upload lands in the store as.
+// retrain returns a delta upload for set: n of its states rewritten
+// with one more visit each, with the set's Steps advanced by n.
 func retrain(rng *rand.Rand, set *learner.TableSet, n int) *learner.TableSet {
 	prev := set.Primary()
-	t := &core.QTable{
-		Actions: prev.Actions,
-		Q:       make(map[core.StateKey][]float64, len(prev.Q)),
-		Visits:  make(map[core.StateKey]int, len(prev.Visits)),
-		Steps:   prev.Steps + int64(n),
-	}
-	for s, row := range prev.Q {
-		t.Q[s] = row
-		t.Visits[s] = prev.Visits[s]
-	}
+	t := core.NewQTable(prev.Actions)
+	t.Steps = prev.Steps + int64(n)
 	for _, s := range rng.Perm(len(prev.Q))[:n] {
 		row := make([]float64, prev.Actions)
 		for a := range row {
 			row[a] = rng.NormFloat64()
 		}
 		t.Q[core.StateKey(s)] = row
-		t.Visits[core.StateKey(s)]++
+		t.Visits[core.StateKey(s)] = prev.Visits[core.StateKey(s)] + 1
 	}
 	return learner.SingleTableSet(t)
 }
 
-// TestMergerUpdateZeroAllocs pins the upload path's allocation budget:
-// once a state's cells exist, swapping contributions allocates nothing.
+// TestMergerUpdateZeroAllocs pins the upload paths' allocation budget:
+// once a device's rows and a state's cells exist, patching a 4-state
+// delta and re-uploading a full 64-state table allocate nothing.
 func TestMergerUpdateZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := benchDeviceSet(rng)
-	b := retrain(rng, a, 4)
+	d1, d2 := retrain(rng, a, 4), retrain(rng, a, 4)
 	m := NewMerger()
-	if err := m.Update(nil, a); err != nil {
+	if err := m.Upload("dev", a); err != nil {
 		t.Fatal(err)
 	}
-	cur, other := a, b
+	cur, other := d1, d2
 	delta := testing.AllocsPerRun(200, func() {
-		if err := m.Update(cur, other); err != nil {
+		if err := m.Patch("dev", cur); err != nil {
 			t.Fatal(err)
 		}
 		cur, other = other, cur
 	})
+	b := benchDeviceSet(rng)
+	full, next := a, b
 	first := testing.AllocsPerRun(200, func() {
-		if err := m.Update(nil, a); err != nil {
+		if err := m.Upload("dev", full); err != nil {
 			t.Fatal(err)
 		}
+		full, next = next, full
 	})
 	if delta != 0 || first != 0 {
-		t.Fatalf("Update allocates: %v/op for a 4-state delta, %v/op for a first upload", delta, first)
+		t.Fatalf("uploads allocate: %v/op for a 4-state delta, %v/op for a full upload", delta, first)
+	}
+}
+
+// TestMergerPatchMatchesUpload: patching a device's stored rows with a
+// delta lands exactly like a full upload of the overlaid table —
+// including deltas that add states, reweight a stored row through a
+// visit count alone, or carry rowless visit counts — and a refused
+// delta changes neither the sums nor the stored rows.
+func TestMergerPatchMatchesUpload(t *testing.T) {
+	for _, name := range []string{"watkins", "doubleq"} {
+		rng := rand.New(rand.NewSource(int64(len(name))))
+		patched, full := NewMerger(), NewMerger()
+		cur := make(map[string]*learner.TableSet)
+		for i := 0; i < 5; i++ {
+			d := fmt.Sprint("dev", i)
+			cur[d] = randDeviceSet(rng, name, 9)
+			for _, m := range []*Merger{patched, full} {
+				if err := m.Upload(d, cur[d]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for round := 0; round < 20; round++ {
+			d := fmt.Sprint("dev", rng.Intn(5))
+			delta := learner.Must(name, 9).Snapshot()
+			next := cur[d].Clone()
+			for r, rt := range delta.Roles {
+				dt, nt := rt.Table, next.Roles[r].Table
+				for k := 1 + rng.Intn(4); k > 0; k-- {
+					s := core.StateKey(rng.Intn(130))
+					if rng.Intn(6) == 0 {
+						s = core.StateKey(1000 + rng.Intn(5)) // rowless visit states
+					}
+					switch rng.Intn(3) {
+					case 0: // visit count alone
+						dt.Visits[s] = rng.Intn(300)
+					default:
+						dt.Q[s] = randRow(rng, 9)
+						randVisit(rng, dt, s)
+					}
+				}
+				dt.Steps, dt.TrainedUS = nt.Steps+int64(rng.Intn(50)), int64(rng.Intn(1_000_000))
+				for s, row := range dt.Q {
+					nt.Q[s] = row
+				}
+				for s, v := range dt.Visits {
+					nt.Visits[s] = v
+				}
+				nt.Steps, nt.TrainedUS, nt.ConvergedAtUS = dt.Steps, dt.TrainedUS, dt.ConvergedAtUS
+			}
+			if err := patched.Patch(d, delta); err != nil {
+				t.Fatal(err)
+			}
+			if err := full.Upload(d, next); err != nil {
+				t.Fatal(err)
+			}
+			cur[d] = next
+			before := setBytes(t, patched.Merge())
+			if got, want := before, setBytes(t, full.Merge()); got != want {
+				t.Fatalf("%s round %d: patched merge differs from the full upload's", name, round)
+			}
+			sets := make([]*learner.TableSet, 0, len(cur))
+			for _, set := range cur {
+				sets = append(sets, set)
+			}
+			checkAgainstRat(t, patched.merged, sets)
+
+			bad := learner.Must(name, 9).Snapshot()
+			bad.Primary().Q[core.StateKey(rng.Intn(130))] = randRow(rng, 9)
+			bad.Primary().Q[core.StateKey(200)] = []float64{math.NaN(), 0, 0, 0, 0, 0, 0, 0, 0}
+			if err := patched.Patch(d, bad); err == nil {
+				t.Fatal("delta with a NaN value accepted")
+			}
+			if err := patched.Patch("nobody", delta); err == nil {
+				t.Fatal("delta for an unknown device accepted")
+			}
+			if setBytes(t, patched.Merge()) != before {
+				t.Fatalf("%s round %d: refused delta changed the merge", name, round)
+			}
+		}
 	}
 }
 
 // BenchmarkAccumulatorUpload is the store's per-upload merge cost:
-// delta4 swaps a contribution for one with 4 of its 64 states
-// retrained; first64 adds a new contributor's 64 states.
+// delta4 patches a device's stored 64-state table with a delta of 4
+// retrained states; first64 uploads a full 64-state table whose rows
+// the device did not hold (it alternates with an empty table, so
+// every op adds or removes all 576 cells' contributions).
 func BenchmarkAccumulatorUpload(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := benchDeviceSet(rng)
-	next := retrain(rng, a, 4)
+	d1, d2 := retrain(rng, a, 4), retrain(rng, a, 4)
 	b.Run("delta4", func(b *testing.B) {
 		m := NewMerger()
-		if err := m.Update(nil, a); err != nil {
+		if err := m.Upload("dev", a); err != nil {
 			b.Fatal(err)
 		}
-		cur, other := a, next
+		cur, other := d1, d2
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := m.Update(cur, other); err != nil {
+			if err := m.Patch("dev", cur); err != nil {
 				b.Fatal(err)
 			}
 			cur, other = other, cur
@@ -461,15 +545,18 @@ func BenchmarkAccumulatorUpload(b *testing.B) {
 	})
 	b.Run("first64", func(b *testing.B) {
 		m := NewMerger()
-		if err := m.Update(nil, a); err != nil {
+		empty := learner.SingleTableSet(core.NewQTable(9))
+		if err := m.Upload("dev", a); err != nil {
 			b.Fatal(err)
 		}
+		cur, other := empty, a
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := m.Update(nil, a); err != nil {
+			if err := m.Upload("dev", cur); err != nil {
 				b.Fatal(err)
 			}
+			cur, other = other, cur
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "uploads/s")
 	})
@@ -485,17 +572,17 @@ func BenchmarkAccumulatorMerge(b *testing.B) {
 	var last *learner.TableSet
 	for d := 0; d < 10_000; d++ {
 		last = benchDeviceSet(rng)
-		if err := m.Update(nil, last); err != nil {
+		if err := m.Upload(fmt.Sprint("dev", d), last); err != nil {
 			b.Fatal(err)
 		}
 	}
 	m.Merge()
-	cur, other := last, retrain(rng, last, 64)
+	cur, other := retrain(rng, last, 64), retrain(rng, last, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if err := m.Update(cur, other); err != nil {
+		if err := m.Patch("dev9999", cur); err != nil {
 			b.Fatal(err)
 		}
 		cur, other = other, cur

@@ -18,6 +18,12 @@ import (
 // whose replies carry no gen — permanently disable delta mode for this
 // stream and every later upload goes out full, exactly as before.
 //
+// The acked base is kept packed (learner.PackedSet: sorted keys and one
+// flat row slice per role), the same form the server stores device
+// tables in: the diff reads it with binary searches, and accepting a
+// reply re-packs it in place, so a steady stream allocates no copy of
+// the table per upload.
+//
 // Not safe for concurrent use; each simulated device owns its own
 // DeltaUploader (matching the one-session-per-device fleet model).
 type DeltaUploader struct {
@@ -25,7 +31,7 @@ type DeltaUploader struct {
 	device, platform, app string
 
 	gen      int64
-	prev     *core.TableSet
+	base     *learner.PackedSet
 	disabled bool
 }
 
@@ -39,8 +45,8 @@ func (c *Client) NewDeltaUploader(device, platform, app string) *DeltaUploader {
 // possible. The set is read, never retained or mutated; callers may
 // keep training on it afterwards.
 func (d *DeltaUploader) Upload(set *core.TableSet) (UploadReply, error) {
-	if !d.disabled && d.gen > 0 && d.prev != nil {
-		if delta, ok := diffTableSet(d.prev, set); ok {
+	if !d.disabled && d.gen > 0 && d.base != nil {
+		if delta, ok := diffPacked(d.base, set); ok {
 			reply, err := d.c.UploadTableSetDelta(d.device, d.platform, d.app, delta, d.gen)
 			switch {
 			case err == nil:
@@ -67,73 +73,74 @@ func (d *DeltaUploader) Upload(set *core.TableSet) (UploadReply, error) {
 func (d *DeltaUploader) accept(set *core.TableSet, reply UploadReply) {
 	if reply.Gen <= 0 {
 		// This tier doesn't track generations; stop diffing for good.
-		d.disabled, d.gen, d.prev = true, 0, nil
+		d.disabled, d.gen, d.base = true, 0, nil
+		return
+	}
+	if d.base == nil {
+		d.base = &learner.PackedSet{}
+	}
+	if err := d.base.Repack(set); err != nil {
+		// A set the server took but that does not pack (ragged rows)
+		// leaves no base: the next upload goes out full.
+		d.gen, d.base = 0, nil
 		return
 	}
 	d.gen = reply.Gen
-	d.prev = set.Clone()
 }
 
-// diffTableSet returns a set carrying only the states of next whose
-// row or visit count differs from prev, with each role's metadata
-// (Steps, TrainedUS, ConvergedAtUS) absolute — matching the overlay
-// semantics of Store.UploadDelta. ok is false when the diff cannot be
-// expressed as an overlay: layout changed, or next dropped a state
-// prev had.
-func diffTableSet(prev, next *core.TableSet) (*core.TableSet, bool) {
-	if prev == nil || next == nil || len(prev.Roles) != len(next.Roles) ||
-		learner.Normalize(prev.Learner) != learner.Normalize(next.Learner) {
+// diffPacked returns a set carrying only the states of next whose row
+// or visit count differs from the packed base, with each role's
+// metadata (Steps, TrainedUS, ConvergedAtUS) absolute — matching the
+// overlay semantics of Store.UploadDelta. The delta's rows alias next's.
+// ok is false when the diff cannot be expressed as an overlay: layout
+// changed, or next dropped a state or visit count the base had.
+func diffPacked(base *learner.PackedSet, next *core.TableSet) (*core.TableSet, bool) {
+	if base == nil || next == nil || len(base.Roles) != len(next.Roles) ||
+		learner.Normalize(base.Learner) != learner.Normalize(next.Learner) {
 		return nil, false
 	}
 	delta := &core.TableSet{Learner: next.Learner, Roles: make([]learner.RoleTable, len(next.Roles))}
 	for i, r := range next.Roles {
-		p := prev.Roles[i]
-		if p.Role != r.Role || p.Table == nil || r.Table == nil || p.Table.Actions != r.Table.Actions {
+		p, nt := &base.Roles[i], r.Table
+		if p.Role != r.Role || nt == nil || p.Actions != nt.Actions {
 			return nil, false
 		}
 		// Overlays can't delete: every state and visit entry the base
 		// had must still exist in next, else only a full upload can
 		// express the change.
-		for s := range p.Table.Q {
-			if _, still := r.Table.Q[s]; !still {
+		for _, s := range p.RowKeys() {
+			if _, still := nt.Q[s]; !still {
 				return nil, false
 			}
 		}
-		for s := range p.Table.Visits {
-			if _, still := r.Table.Visits[s]; !still {
+		for _, s := range p.VisitKeys() {
+			if _, still := nt.Visits[s]; !still {
 				return nil, false
 			}
 		}
-		dt := core.NewQTable(r.Table.Actions)
-		dt.Steps = r.Table.Steps
-		dt.TrainedUS = r.Table.TrainedUS
-		dt.ConvergedAtUS = r.Table.ConvergedAtUS
-		for s, row := range r.Table.Q {
-			old, had := p.Table.Q[s]
-			if !had {
-				dt.Q[s] = row
-				if v, ok := r.Table.Visits[s]; ok {
-					dt.Visits[s] = v
+		dt := core.NewQTable(nt.Actions)
+		dt.Steps = nt.Steps
+		dt.TrainedUS = nt.TrainedUS
+		dt.ConvergedAtUS = nt.ConvergedAtUS
+		for s, row := range nt.Q {
+			if j, had := p.Find(s); had {
+				pv, _ := p.Visit(s)
+				if pv == nt.Visits[s] && equalActionRow(p.Row(j), row) {
+					continue
 				}
-				continue
 			}
-			if p.Table.Visits[s] != r.Table.Visits[s] || !equalActionRow(old, row) {
-				dt.Q[s] = row
-				if v, ok := r.Table.Visits[s]; ok {
-					dt.Visits[s] = v
-				}
+			dt.Q[s] = row
+			if v, ok := nt.Visits[s]; ok {
+				dt.Visits[s] = v
 			}
 		}
 		// Visit counts without rows (legal, merge-inert) still need to
 		// travel when they change.
-		for s, v := range r.Table.Visits {
-			if _, hasRow := r.Table.Q[s]; hasRow {
+		for s, v := range nt.Visits {
+			if _, hasRow := nt.Q[s]; hasRow {
 				continue
 			}
-			if _, sent := dt.Visits[s]; sent {
-				continue
-			}
-			if pv, had := p.Table.Visits[s]; !had || pv != v {
+			if pv, had := p.Visit(s); !had || pv != v {
 				dt.Visits[s] = v
 			}
 		}

@@ -24,6 +24,16 @@
 // cloud.Fleet.MergeApp of the same uploads produces (pinned by the
 // end-to-end test in internal/fleetsim).
 //
+// The store keeps no map-based table per device: each key's
+// cloud.Merger owns every device's latest rows as a learner.PackedSet
+// (sorted state keys and one flat, pointer-free row slab per role), so
+// a large fleet costs the garbage collector a few pointers per device.
+// A full upload replaces the device's rows, reusing their arrays when
+// the shape holds; a delta upload (X-Fleet-Base-Gen, see UploadDelta)
+// is validated in full and then patched into them in place. The
+// client's DeltaUploader keeps its acked base in the same packed form.
+// /metrics reports the packed bytes held as fleetd_device_table_bytes.
+//
 // When configured with a snapshot directory the server persists each
 // merged table through core.Store (atomic temp-file + rename writes)
 // after every merge round, and a restarted server warms itself from the

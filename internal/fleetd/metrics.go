@@ -120,7 +120,7 @@ func (m *Metrics) MergeLatency() (count, sumUS, maxUS int64) {
 
 // write renders the Prometheus text exposition. Store-level gauges are
 // passed in so the metrics page reflects the live table store.
-func (m *Metrics) write(w io.Writer, keys, merged, uploads, devices, untracked int) {
+func (m *Metrics) write(w io.Writer, keys, merged, uploads, devices, untracked int, tableBytes int64) {
 	fmt.Fprintf(w, "# HELP fleetd_uptime_seconds Seconds since the server started.\n")
 	fmt.Fprintf(w, "# TYPE fleetd_uptime_seconds gauge\n")
 	fmt.Fprintf(w, "fleetd_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
@@ -155,6 +155,9 @@ func (m *Metrics) write(w io.Writer, keys, merged, uploads, devices, untracked i
 	fmt.Fprintf(w, "# HELP fleetd_device_tables Device tables currently held for merging.\n")
 	fmt.Fprintf(w, "# TYPE fleetd_device_tables gauge\n")
 	fmt.Fprintf(w, "fleetd_device_tables %d\n", uploads)
+	fmt.Fprintf(w, "# HELP fleetd_device_table_bytes Bytes of packed device rows held for merging, summed over policies.\n")
+	fmt.Fprintf(w, "# TYPE fleetd_device_table_bytes gauge\n")
+	fmt.Fprintf(w, "fleetd_device_table_bytes %d\n", tableBytes)
 	fmt.Fprintf(w, "# HELP fleetd_devices_seen Distinct devices that have checked in (lower bound once the tracking set is full).\n")
 	fmt.Fprintf(w, "# TYPE fleetd_devices_seen gauge\n")
 	fmt.Fprintf(w, "fleetd_devices_seen %d\n", devices)

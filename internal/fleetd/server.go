@@ -559,7 +559,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) int {
 	devices, untracked := len(s.devices), s.devOverflow
 	s.devMu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.write(w, keys, merged, uploads, devices, untracked)
+	s.metrics.write(w, keys, merged, uploads, devices, untracked, s.store.DeviceTableBytes())
 	if s.rollout != nil {
 		writeRolloutMetrics(w, s.rollout.Statuses(), s.rollout.RollbacksTotal())
 	}

@@ -3,6 +3,7 @@ package fleetd
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -243,5 +244,30 @@ func TestUploadCellBudgetBoundsHeap(t *testing.T) {
 	}
 	if code := put("d0", data); code != http.StatusOK {
 		t.Fatalf("ordinary upload after the refusals: status %d", code)
+	}
+}
+
+// TestDeviceTableBytesGauge: /metrics reports the packed bytes of the
+// device rows the store holds — keys, rows and visit counts of every
+// device, summed over policies.
+func TestDeviceTableBytesGauge(t *testing.T) {
+	srv, client, done := newTestServer(t, Config{})
+	defer done()
+	for i, app := range []string{"spotify", "game"} {
+		if _, err := client.UploadTable(fmt.Sprint("d", i), "note9", app, devTable(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// devTable holds 6 states, each with a row of 9 values and a visit count.
+	perDevice := 8*12 + 8*6*9 + bits.UintSize/8*6
+	if got := srv.Store().DeviceTableBytes(); got != int64(2*perDevice) {
+		t.Fatalf("DeviceTableBytes = %d, want %d", got, 2*perDevice)
+	}
+	text, err := client.MetricsText()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("fleetd_device_table_bytes %d\n", 2*perDevice); !strings.Contains(text, want) {
+		t.Fatalf("metrics missing %q in:\n%s", want, text)
 	}
 }

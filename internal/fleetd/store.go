@@ -122,7 +122,7 @@ func sanitizeTable(t *core.QTable) {
 	for _, row := range t.Q {
 		for i, v := range row {
 			switch {
-			case v != v: // NaN can't arrive via JSON, but cost nothing to kill
+			case v != v: // JSON cannot carry NaN, but NXTB decodes raw IEEE bits
 				row[i] = 0
 			case v > maxQValue:
 				row[i] = maxQValue
@@ -144,8 +144,9 @@ func sanitizeTable(t *core.QTable) {
 }
 
 // Store is fleetd's in-memory table store: a fixed array of shards,
-// each a mutex-striped map from Key to the per-policy entry (latest
-// upload per device plus the current merged table).
+// each a mutex-striped map from Key to the per-policy entry (the
+// merger holding every device's latest rows, plus the current merged
+// table).
 type Store struct {
 	shards [numShards]storeShard
 	// maxDevices bounds distinct devices per key (maxDevicesPerKey by
@@ -161,30 +162,26 @@ type storeShard struct {
 }
 
 type entry struct {
-	// uploads holds the latest learner table set per device ID (deep
-	// copies — the store never aliases caller memory). Stored sets are
-	// immutable once inserted: re-uploads replace the map entry with a
-	// fresh set, and the merger subtracts the replaced set's rows.
-	uploads map[string]*learner.TableSet
 	// merged is the current served policy, nil until the first merge
 	// round (or snapshot restore); round counts merge rounds.
 	merged *learner.TableSet
 	round  int64
-	// merger holds the exact merge sums of exactly the current uploads:
-	// every accepted upload swaps its device's old contribution for the
-	// new one, and a merge round rounds only the cells that changed.
+	// merger holds each device's latest upload as packed rows (copies —
+	// the store never aliases caller memory) and the exact merge sums
+	// over them: every accepted upload swaps its device's old
+	// contribution for the new one, and a merge round rounds only the
+	// cells that changed.
 	merger *cloud.Merger
 	// devGen counts accepted uploads per device — the generation a
-	// delta upload must echo to prove its base is the set the store
-	// holds (see UploadDelta).
+	// delta upload must echo to prove its base is the table the store
+	// holds (see UploadDelta). Its keys are the key's devices.
 	devGen map[string]int64
 }
 
 func newEntry() *entry {
 	return &entry{
-		uploads: make(map[string]*learner.TableSet),
-		merger:  cloud.NewBoundedMerger(maxCellsPerKey),
-		devGen:  make(map[string]int64),
+		merger: cloud.NewBoundedMerger(maxCellsPerKey),
+		devGen: make(map[string]int64),
 	}
 }
 
@@ -227,8 +224,8 @@ func (s *Store) shardFor(k Key) *storeShard {
 // Upload records a device's latest table for the key, replacing any
 // previous upload from the same device. It returns how many devices
 // have contributed. The action-space size must match what the fleet
-// already holds. The table is deep-copied; use UploadOwned when the
-// caller hands over ownership.
+// already holds. The store keeps a packed copy of the rows and never
+// touches t; use UploadOwned when the caller hands over ownership.
 func (s *Store) Upload(k Key, device string, t *core.QTable) (devices int, err error) {
 	if t != nil {
 		t = t.Clone()
@@ -245,7 +242,8 @@ func (s *Store) UploadOwned(k Key, device string, t *core.QTable) (devices int, 
 	return s.UploadSetOwned(k, device, learner.SingleTableSet(t))
 }
 
-// UploadSet records a device's complete learner table set, deep-copied.
+// UploadSet records a device's complete learner table set; set itself
+// is left untouched.
 func (s *Store) UploadSet(k Key, device string, set *learner.TableSet) (devices int, err error) {
 	if set != nil {
 		set = set.Clone()
@@ -253,10 +251,10 @@ func (s *Store) UploadSet(k Key, device string, set *learner.TableSet) (devices 
 	return s.UploadSetOwned(k, device, set)
 }
 
-// UploadSetOwned is UploadSet without the defensive copy: the caller
-// promises it holds no other reference to the set (the HTTP handler
-// qualifies — each request unmarshals a fresh set — and skipping the
-// clone is worth ~15% on the check-in hot path). Every upload for a key
+// UploadSetOwned is UploadSet without the defensive copy: the store
+// clamps the set's values in place before packing a copy of its rows,
+// so the caller must not need the set afterwards (the HTTP handler
+// qualifies — each request unmarshals a fresh set). Every upload for a key
 // must come from the same learner (same registry name and role layout):
 // tables merge role-by-role, and averaging a Double-Q estimator into a
 // single-table policy would silently corrupt both.
@@ -293,10 +291,11 @@ func (s *Store) UploadSetGen(k Key, device string, set *learner.TableSet) (devic
 		return 0, 0, err
 	}
 	sanitizeSet(set)
-	if gen, err = e.install(device, set); err != nil {
+	if err := e.merger.Upload(device, set); err != nil {
 		return 0, 0, fmt.Errorf("fleetd: %s: upload from %q: %w", k, device, err)
 	}
-	return len(e.uploads), gen, nil
+	e.devGen[device]++
+	return len(e.devGen), e.devGen[device], nil
 }
 
 // entryForUpload runs the per-entry admission checks (key/device caps,
@@ -313,32 +312,29 @@ func (s *Store) entryForUpload(sh *storeShard, k Key, device string, set *learne
 	}
 	// ValidateSet already pinned the role layout to the learner name,
 	// so cross-upload consistency reduces to the name and action count.
-	if ref := e.anySet(); ref != nil {
-		if want := ref.Primary().Actions; set.Primary().Actions != want {
-			return nil, fmt.Errorf("fleetd: %s: upload from %q has %d actions, fleet has %d", k, device, set.Primary().Actions, want)
+	if name, actions, ok := e.layout(); ok {
+		if set.Primary().Actions != actions {
+			return nil, fmt.Errorf("fleetd: %s: upload from %q has %d actions, fleet has %d", k, device, set.Primary().Actions, actions)
 		}
-		if learner.Normalize(ref.Learner) != learner.Normalize(set.Learner) {
+		if learner.Normalize(set.Learner) != name {
 			return nil, fmt.Errorf("fleetd: %s: upload from %q: learner %q does not match the fleet's %q",
-				k, device, learner.Normalize(set.Learner), learner.Normalize(ref.Learner))
+				k, device, learner.Normalize(set.Learner), name)
 		}
 	}
-	if _, seen := e.uploads[device]; !seen && len(e.uploads) >= s.maxDevices {
+	if _, seen := e.devGen[device]; !seen && len(e.devGen) >= s.maxDevices {
 		return nil, fmt.Errorf("fleetd: %s: device limit reached (%d)", k, s.maxDevices)
 	}
 	return e, nil
 }
 
-// install records a sanitized set as the device's latest upload: the
-// merger swaps the device's previous contribution (if any) for it, then
-// the device's generation advances. On error nothing changes. Callers
-// hold the shard write lock.
-func (e *entry) install(device string, set *learner.TableSet) (gen int64, err error) {
-	if err := e.merger.Update(e.uploads[device], set); err != nil {
-		return 0, err
+// layout returns the entry's established learner and action count:
+// the merger's, else the merged policy's (a restored key), ok=false
+// before either exists. Callers hold the lock.
+func (e *entry) layout() (learnerName string, actions int, ok bool) {
+	if learnerName, actions, ok = e.merger.Layout(); ok || e.merged == nil {
+		return learnerName, actions, ok
 	}
-	e.uploads[device] = set
-	e.devGen[device]++
-	return e.devGen[device], nil
+	return learner.Normalize(e.merged.Learner), e.merged.Primary().Actions, true
 }
 
 // ErrDeltaBase marks a delta upload whose base generation does not
@@ -352,8 +348,10 @@ var ErrDeltaBase = errors.New("fleetd: delta base generation mismatch")
 // states changed since the device's last accepted upload (plus
 // absolute metadata), guarded by the generation echo from that upload.
 // The delta's layout must match the stored base exactly; states in the
-// delta replace the base's, states absent carry over. On success it
-// returns the device count and the new generation for the next delta.
+// delta replace the base's, states absent carry over — patched into
+// the device's packed rows in place (see cloud.Merger.Patch). On
+// success it returns the device count and the new generation for the
+// next delta.
 // A missing base or a stale baseGen fails with ErrDeltaBase (full
 // upload required); the store is never modified on error.
 func (s *Store) UploadDelta(k Key, device string, delta *learner.TableSet, baseGen int64) (devices int, gen int64, err error) {
@@ -376,68 +374,27 @@ func (s *Store) UploadDelta(k Key, device string, delta *learner.TableSet, baseG
 	if e == nil {
 		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q: %w (no uploads for key)", k, device, ErrDeltaBase)
 	}
-	prev := e.uploads[device]
-	if prev == nil {
+	have, ok := e.devGen[device]
+	if !ok {
 		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q: %w (no base upload)", k, device, ErrDeltaBase)
 	}
-	if have := e.devGen[device]; have != baseGen {
+	if have != baseGen {
 		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q: %w (base %d, store at %d)", k, device, ErrDeltaBase, baseGen, have)
 	}
 	// ValidateSet pinned both role layouts to their learner names, so
 	// the layouts match when the names and action counts do.
-	if learner.Normalize(delta.Learner) != learner.Normalize(prev.Learner) ||
-		delta.Primary().Actions != prev.Primary().Actions {
+	if name, actions, _ := e.merger.Layout(); learner.Normalize(delta.Learner) != name ||
+		delta.Primary().Actions != actions {
 		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q does not match the stored base layout", k, device)
 	}
-	// Sanitize the delta, then overlay it on the (already sanitized,
-	// immutable) base into a fresh set: unchanged rows are shared, never
-	// copied — the base stays untouched for in-flight merge snapshots.
+	// The stored base is already sanitized; the delta's rows are
+	// sanitized before they reach it.
 	sanitizeSet(delta)
-	if gen, err = e.install(device, applyDelta(prev, delta)); err != nil {
+	if err := e.merger.Patch(device, delta); err != nil {
 		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q: %w", k, device, err)
 	}
-	return len(e.uploads), gen, nil
-}
-
-// applyDelta overlays a delta set on its base role-by-role. The result
-// is a fresh set whose unchanged rows alias the base (both are
-// immutable in the store); metadata is absolute from the delta.
-func applyDelta(base, delta *learner.TableSet) *learner.TableSet {
-	next := &learner.TableSet{Learner: base.Learner, Roles: make([]learner.RoleTable, len(base.Roles))}
-	for i := range base.Roles {
-		bt, dt := base.Roles[i].Table, delta.Roles[i].Table
-		nt := &core.QTable{
-			Actions:       bt.Actions,
-			Q:             make(map[core.StateKey][]float64, len(bt.Q)+len(dt.Q)),
-			Visits:        make(map[core.StateKey]int, len(bt.Visits)+len(dt.Visits)),
-			Steps:         dt.Steps,
-			TrainedUS:     dt.TrainedUS,
-			ConvergedAtUS: dt.ConvergedAtUS,
-		}
-		for s, row := range bt.Q {
-			nt.Q[s] = row
-		}
-		for s, v := range bt.Visits {
-			nt.Visits[s] = v
-		}
-		for s, row := range dt.Q {
-			nt.Q[s] = row
-		}
-		for s, v := range dt.Visits {
-			nt.Visits[s] = v
-		}
-		next.Roles[i] = learner.RoleTable{Role: base.Roles[i].Role, Table: nt}
-	}
-	return next
-}
-
-// anySet returns any established set of the entry (an upload, else the
-// merged policy) for layout validation. Callers hold the lock.
-func (e *entry) anySet() *learner.TableSet {
-	for _, set := range e.uploads {
-		return set
-	}
-	return e.merged
+	e.devGen[device]++
+	return len(e.devGen), e.devGen[device], nil
 }
 
 // MergeInfo summarizes one federated merge round.
@@ -479,7 +436,7 @@ func (s *Store) MergeSet(k Key) (MergeInfo, *learner.TableSet, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e := sh.entries[k]
-	if e == nil || len(e.uploads) == 0 {
+	if e == nil || len(e.devGen) == 0 {
 		return MergeInfo{}, nil, fmt.Errorf("fleetd: %s: no device tables to merge", k)
 	}
 	merged := e.merger.Merge()
@@ -487,7 +444,7 @@ func (s *Store) MergeSet(k Key) (MergeInfo, *learner.TableSet, error) {
 	e.round++
 	return MergeInfo{
 		App: k.App, Platform: k.Platform,
-		Round: e.round, Devices: len(e.uploads), States: merged.Primary().States(),
+		Round: e.round, Devices: len(e.devGen), States: merged.Primary().States(),
 	}, merged, nil
 }
 
@@ -555,7 +512,7 @@ func (s *Store) Infos(platform string) []KeyInfo {
 			if platform != "" && k.Platform != platform {
 				continue
 			}
-			info := KeyInfo{Key: k, Devices: len(e.uploads), Round: e.round}
+			info := KeyInfo{Key: k, Devices: len(e.devGen), Round: e.round}
 			if e.merged != nil {
 				info.States = e.merged.Primary().States()
 			}
@@ -580,7 +537,7 @@ func (s *Store) Stats() (keys, merged, uploads int) {
 		sh.mu.RLock()
 		for _, e := range sh.entries {
 			keys++
-			uploads += len(e.uploads)
+			uploads += len(e.devGen)
 			if e.merged != nil {
 				merged++
 			}
@@ -588,6 +545,21 @@ func (s *Store) Stats() (keys, merged, uploads int) {
 		sh.mu.RUnlock()
 	}
 	return keys, merged, uploads
+}
+
+// DeviceTableBytes sums, over every key, the bytes of the packed
+// device rows the store holds for merging (for /metrics).
+func (s *Store) DeviceTableBytes() int64 {
+	var n int64
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for _, e := range sh.entries {
+			n += int64(e.merger.Bytes())
+		}
+		sh.mu.RUnlock()
+	}
+	return n
 }
 
 // SnapshotKey persists the key's merged table set (if any) under

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -342,5 +343,53 @@ func TestFederateBinaryEnvelope(t *testing.T) {
 	want, _, ok := ref.Store().PolicySetRef(Key{App: "game", Platform: "note9"})
 	if !ok || setHash(t, fed) != setHash(t, want) {
 		t.Fatal("federated mixed-encoding policy diverges from direct uploads")
+	}
+}
+
+// TestBinaryUploadsClampNonFinite: NXTB decodes raw IEEE bits, so NaN
+// and ±Inf Q-values do arrive over the binary wire, in full and in
+// delta uploads alike. The store clamps them (NaN to 0, ±Inf to
+// ±maxQValue) before they reach the merge, so the merged policy stays
+// finite and the JSON download still marshals.
+func TestBinaryUploadsClampNonFinite(t *testing.T) {
+	srv, ts := newWireServer(t, Config{})
+	c := NewClient(ts.URL)
+	c.UseBinary = true
+	nan, inf := math.NaN(), math.Inf(1)
+
+	full := core.NewQTable(9)
+	full.Q[core.StateKey(1)] = []float64{nan, inf, -inf, 1, 0, 0, 0, 0, 0}
+	full.Visits[core.StateKey(1)] = 2
+	full.Q[core.StateKey(2)] = []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5}
+	reply, err := c.UploadTableSet("dev-a", "note9", "game", learner.SingleTableSet(full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := core.NewQTable(9)
+	delta.Q[core.StateKey(2)] = []float64{-inf, nan, inf, 2, 0, 0, 0, 0, 0}
+	delta.Visits[core.StateKey(2)] = 3
+	if _, err := c.UploadTableSetDelta("dev-a", "note9", "game", learner.SingleTableSet(delta), reply.Gen); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Merge("game", "note9"); err != nil {
+		t.Fatal(err)
+	}
+	got, _, ok := srv.Store().PolicySetRef(Key{App: "game", Platform: "note9"})
+	if !ok {
+		t.Fatal("no merged policy")
+	}
+	want := map[core.StateKey][]float64{
+		1: {0, maxQValue, -maxQValue, 1, 0, 0, 0, 0, 0},
+		2: {-maxQValue, 0, maxQValue, 2, 0, 0, 0, 0, 0},
+	}
+	for s, row := range want {
+		for a, v := range row {
+			if q := got.Primary().Q[s][a]; q != v {
+				t.Fatalf("state %d action %d merged to %v, want %v", s, a, q, v)
+			}
+		}
+	}
+	if ct, body := getPolicy(t, ts.URL, ""); ct != "application/json" || len(body) == 0 {
+		t.Fatalf("JSON policy download: content type %q, %d bytes", ct, len(body))
 	}
 }
