@@ -25,8 +25,8 @@
 //
 // Aggregator mode: run an edge aggregator of the two-tier topology in
 // front of a root server. Devices talk to the aggregator; it merges
-// locally, queues the raw device tables, and federates them upward in
-// batches (answering 429 + Retry-After when the queue fills). Combine
+// locally, queues which devices' rows changed, and federates those rows
+// upward in batches (answering 429 + Retry-After when the queue fills). Combine
 // -bench with -aggregators to benchmark the two-tier path in-process:
 //
 //	nextfleetd -aggregator -root http://127.0.0.1:8077 -agg-id edge-west

@@ -1,18 +1,22 @@
 // Package aggregator implements the edge tier of the hierarchical
 // fleet: an aggregator sits between devices and the root fleetd,
 // absorbing check-ins and table uploads into a per-aggregator local
-// store, serving regional policies, and federating the raw per-device
-// tables upward to the root in batched, bounded, async pushes.
+// store, serving regional policies, and federating each device's rows
+// upward to the root in batched, bounded, async pushes.
 //
 // The tier is a doppel-style coordinator/worker decomposition:
 // aggregators are the workers (writes land in per-worker local
 // stores), the root is the coordinator, and a federation epoch runs
 // split → local-merge → federated-join phases so no lock — and no
-// single process — spans a whole round. Aggregators forward raw
-// device tables, so the root merges exactly the flat upload set; the
-// merge is exact and order-independent (see cloud.Merger), which makes
-// the root policy byte-identical to a flat single-tier merge of the
-// same uploads.
+// single process — spans a whole round. An aggregator forwards each
+// device's changed rows: a delta of the states its uploads changed
+// since the root last accepted that device's rows from this edge, or
+// the full table on the first forward, after a dropped state, or when
+// the root no longer holds the delta's base generation. The root thus
+// keeps every device's own rows and merges exactly the flat upload
+// set; the merge is exact and order-independent (see cloud.Merger),
+// which makes the root policy byte-identical to a flat single-tier
+// merge of the same uploads.
 //
 // Backpressure is explicit: the upward queue is hard-bounded, a full
 // queue answers 429 with Retry-After (surfaced to clients as
@@ -31,6 +35,7 @@ import (
 	"sync"
 	"time"
 
+	"nextdvfs/internal/cloud"
 	"nextdvfs/internal/fleetd"
 	"nextdvfs/internal/learner"
 )
@@ -79,7 +84,7 @@ type Server struct {
 	root    *fleetd.Client // nil when standalone
 	proxy   *http.Client
 	rootURL string
-	queue   *queue
+	pending *pending
 	metrics *Metrics
 	mux     *http.ServeMux
 
@@ -88,6 +93,7 @@ type Server struct {
 	pendingDevices map[string]struct{} // checked in since the last successful flush
 
 	flushMu sync.Mutex // serializes Flush (handlers never hold it)
+	rootID  uint64     // the root instance of the last push's reply; guarded by flushMu
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -124,7 +130,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:            cfg,
 		store:          fleetd.NewStoreMaxDevices(cfg.MaxDevicesPerKey),
-		queue:          newQueue(cfg.QueueLimit),
+		pending:        newPending(cfg.QueueLimit),
 		metrics:        NewMetrics(),
 		devices:        make(map[string]struct{}),
 		pendingDevices: make(map[string]struct{}),
@@ -162,7 +168,7 @@ func (s *Server) Store() *fleetd.Store { return s.store }
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Pending reports how many device tables await upward federation.
-func (s *Server) Pending() int { return s.queue.depth() }
+func (s *Server) Pending() int { return s.pending.depth() }
 
 // Start launches the background flusher (a no-op when federation or
 // the cadence is disabled).
@@ -194,9 +200,11 @@ func (s *Server) Close() {
 	<-s.done
 }
 
-// Flush drains pending device registrations and queued uploads to the
-// root in FlushBatch-sized federation pushes until the queue is empty,
-// returning how many tables the root accepted. On a push failure the
+// Flush drains pending device registrations and table changes to the
+// root in FlushBatch-sized federation pushes until nothing is pending,
+// returning how many tables the root accepted. Items whose delta base
+// the root no longer holds go back to the front of the queue as full
+// tables and are resent within the same Flush. On a push failure the
 // batch returns to the queue and Flush stops — the next flush (or
 // epoch) retries from where it left off.
 func (s *Server) Flush() (forwarded int, err error) {
@@ -207,28 +215,76 @@ func (s *Server) Flush() (forwarded int, err error) {
 	defer s.flushMu.Unlock()
 	for {
 		devices := s.takePendingDevices()
-		batch := s.queue.take(s.cfg.FlushBatch)
+		batch := s.pending.take(s.cfg.FlushBatch, s.rootID)
 		if len(devices) == 0 && len(batch) == 0 {
 			return forwarded, nil
 		}
-		req := fleetd.FederateRequest{Agg: s.cfg.ID, Devices: devices}
-		for _, p := range batch {
-			req.Uploads = append(req.Uploads, fleetd.FederatedUpload{
-				Device: p.pk.device, Platform: p.pk.key.Platform, Body: p.body,
-			})
-		}
+		req := fleetd.FederateRequest{Agg: s.cfg.ID, Root: s.rootID, Devices: devices}
+		batch, req.Uploads = s.items(batch)
 		reply, ferr := s.root.Federate(req)
+		if ferr == nil && len(reply.Results) != len(batch) {
+			ferr = fmt.Errorf("root answered %d results for %d items", len(reply.Results), len(batch))
+		}
 		if ferr != nil {
-			s.queue.putBack(batch)
+			s.pending.putBack(batch)
 			s.restorePendingDevices(devices)
 			s.metrics.flushFailures.Add(1)
 			return forwarded, fmt.Errorf("aggregator %s: federation push: %w", s.cfg.ID, ferr)
 		}
 		s.metrics.flushes.Add(1)
+		s.rootID = reply.Root
+		for i, t := range batch {
+			switch res := reply.Results[i]; {
+			case res.Gen > 0:
+				s.pending.accepted(t, res.Gen, reply.Root)
+				forwarded++
+				if t.base > 0 {
+					s.metrics.forwardedDelta.Add(1)
+				} else {
+					s.metrics.forwardedFull.Add(1)
+				}
+			case res.Stale:
+				s.pending.refused(t, true)
+				s.metrics.staleResends.Add(1)
+			default:
+				s.pending.refused(t, false) // root refused: poisoned, not retried
+				s.metrics.dropped.Add(1)
+			}
+		}
 		s.metrics.forwarded.Add(int64(reply.Accepted))
-		s.metrics.dropped.Add(int64(reply.Rejected)) // root refused: poisoned, not retried
-		forwarded += reply.Accepted
 	}
+}
+
+// items encodes a taken batch as federation items from the rows the
+// local store holds: a delta of the snapshot's states against its base
+// generation, or the full table. All bodies share one buffer. An entry
+// the store holds no rows for (which an accepted upload rules out) is
+// dropped from the batch.
+func (s *Server) items(batch []taken) ([]taken, []fleetd.FederatedUpload) {
+	var buf []byte
+	ends := make([]int, 0, len(batch))
+	kept := batch[:0]
+	for _, t := range batch {
+		next, err := s.store.AppendDeviceTable(buf, t.pk.key, t.pk.device, t.states)
+		if err != nil {
+			s.pending.refused(t, false)
+			s.metrics.dropped.Add(1)
+			continue
+		}
+		buf = next
+		ends = append(ends, len(buf))
+		kept = append(kept, t)
+	}
+	ups := make([]fleetd.FederatedUpload, len(kept))
+	start := 0
+	for i, t := range kept {
+		ups[i] = fleetd.FederatedUpload{
+			Device: t.pk.device, Platform: t.pk.key.Platform, BaseGen: t.base,
+			Body: buf[start:ends[i]:ends[i]],
+		}
+		start = ends[i]
+	}
+	return kept, ups
 }
 
 func (s *Server) takePendingDevices() []string {
@@ -347,10 +403,10 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
 		return writeErr(w, http.StatusBadRequest, fmt.Errorf("aggregator: reading upload: %w", err))
 	}
 	if r.Header.Get("X-Fleet-Base-Gen") != "" {
-		// Edges don't track per-device upload generations (the queue
-		// forwards raw bodies; the root's generations are not ours to
-		// echo), so a delta upload can't be based here. 409 tells the
-		// device to fall back to a full upload, same as a stale base.
+		// Devices keep their delta bases with the root, whose
+		// generations an edge does not echo, so a delta upload can't be
+		// based here. 409 tells the device to fall back to a full
+		// upload, same as a stale base.
 		return writeErr(w, http.StatusConflict,
 			fmt.Errorf("aggregator %s: delta uploads are not supported at the edge tier; send the full table", s.cfg.ID))
 	}
@@ -362,30 +418,39 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
 		return writeErr(w, http.StatusBadRequest, fmt.Errorf("aggregator: upload from %q: %w", device, err))
 	}
 	k := fleetd.Key{App: app, Platform: platform}
-	pk := pendKey{key: k, device: device}
 	reply := UploadReply{UploadReply: fleetd.UploadReply{App: app, Platform: platform, Device: device}}
-	if s.root != nil {
-		// Queue before store: a rejected upload must be rejected whole —
-		// accepting it locally while refusing to forward it would
-		// silently fork the edge from the root.
-		depth, ok := s.queue.put(pk, data)
-		if !ok {
-			s.metrics.rejected.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterS))
-			return writeErr(w, http.StatusTooManyRequests,
-				fmt.Errorf("aggregator %s: upload queue full (%d pending); retry after %ds",
-					s.cfg.ID, depth, s.cfg.RetryAfterS))
+	if s.root == nil {
+		n, err := s.store.UploadSetOwned(k, device, set)
+		if err != nil {
+			return writeErr(w, http.StatusBadRequest, err)
 		}
-		reply.Pending = depth
-		if depth*100 >= s.cfg.QueueLimit*s.cfg.SoftLimitPct {
-			reply.BackoffS = float64(s.cfg.RetryAfterS)
-		}
+		reply.Devices = n
+		return writeJSON(w, http.StatusOK, reply)
 	}
-	n, err := s.store.UploadSetOwned(k, device, set)
+	// Reserve the queue slot before the store sees the upload: a
+	// rejected upload must be rejected whole — accepting it locally
+	// while refusing to forward it would silently fork the edge from
+	// the root.
+	pk := pendKey{key: k, device: device}
+	depth, ok := s.pending.reserve(pk)
+	if !ok {
+		s.metrics.rejected.Add(1)
+		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterS))
+		return writeErr(w, http.StatusTooManyRequests,
+			fmt.Errorf("aggregator %s: upload queue full (%d pending); retry after %ds",
+				s.cfg.ID, depth, s.cfg.RetryAfterS))
+	}
+	reply.Pending = depth
+	if depth*100 >= s.cfg.QueueLimit*s.cfg.SoftLimitPct {
+		reply.BackoffS = float64(s.cfg.RetryAfterS)
+	}
+	var ch cloud.Changes
+	n, err := s.store.UploadSetChanges(k, device, set, &ch)
 	if err != nil {
-		s.queue.remove(pk) // nothing the local tier refused reaches the root
+		s.pending.abort(pk) // nothing the local tier refused reaches the root
 		return writeErr(w, http.StatusBadRequest, err)
 	}
+	s.pending.commit(pk, &ch)
 	reply.Devices = n
 	return writeJSON(w, http.StatusOK, reply)
 }
@@ -393,6 +458,9 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) int {
 	k := fleetd.Key{App: r.URL.Query().Get("app"), Platform: r.URL.Query().Get("platform")}
 	info, err := s.MergeLocal(k)
+	if errors.Is(err, fleetd.ErrNoTables) {
+		return writeErr(w, http.StatusNotFound, err)
+	}
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, err)
 	}
@@ -502,7 +570,7 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeErr(w, http.StatusBadGateway, err)
 	}
-	return writeJSON(w, http.StatusOK, FlushReply{Agg: s.cfg.ID, Forwarded: forwarded, Pending: s.queue.depth()})
+	return writeJSON(w, http.StatusOK, FlushReply{Agg: s.cfg.ID, Forwarded: forwarded, Pending: s.pending.depth()})
 }
 
 // HealthReply is the aggregator's /healthz body.
@@ -529,7 +597,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) int {
 		Status: "ok", Agg: s.cfg.ID, Root: s.rootURL,
 		UptimeS:  time.Since(s.metrics.start).Seconds(),
 		Policies: keys, Merged: merged, Tables: uploads, Devices: devices,
-		Pending: s.queue.depth(), QueueCap: s.cfg.QueueLimit, Forwarded: s.metrics.forwarded.Load(),
+		Pending: s.pending.depth(), QueueCap: s.cfg.QueueLimit, Forwarded: s.metrics.forwarded.Load(),
 	})
 }
 
@@ -539,6 +607,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) int {
 	devices := len(s.devices)
 	s.devMu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.write(w, s.queue.depth(), s.cfg.QueueLimit, keys, merged, uploads, devices, s.store.DeviceTableBytes())
+	s.metrics.write(w, s.pending.depth(), s.cfg.QueueLimit, keys, merged, uploads, devices, s.store.DeviceTableBytes())
 	return http.StatusOK
 }

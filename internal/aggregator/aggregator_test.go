@@ -116,7 +116,7 @@ func TestAggregatorEndToEnd(t *testing.T) {
 		t.Fatalf("fallbacks = %d, want 1", agg.Metrics().proxyFallbacks.Load())
 	}
 
-	// Flush federates the raw device tables; the root merge then sees
+	// Flush federates the device tables; the root merge then sees
 	// both devices.
 	n, err := agg.Flush()
 	if err != nil || n != 2 {
@@ -251,11 +251,11 @@ func TestQueueOverflowRetryAfterAndDedup(t *testing.T) {
 
 	// Drain order is oldest-device-first, and the deduped body is the
 	// newer one.
-	batch := agg.queue.take(10)
-	if len(batch) != 2 || batch[0].pk.device != "dev-000" || batch[1].pk.device != "dev-001" {
+	_, batch := agg.items(agg.pending.take(10, 0))
+	if len(batch) != 2 || batch[0].Device != "dev-000" || batch[1].Device != "dev-001" {
 		t.Fatalf("drain order = %+v", batch)
 	}
-	app, set, _, err := core.UnmarshalTableSet(batch[1].body)
+	app, set, _, err := core.UnmarshalTableSetAny(batch[1].Body)
 	if err != nil || app != "spotify" {
 		t.Fatalf("queued body: app=%q err=%v", app, err)
 	}

@@ -1,9 +1,9 @@
 package aggregator
 
 import (
+	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"nextdvfs/internal/fleetd"
@@ -17,10 +17,12 @@ import (
 //	                refreshing the regional policy it serves as the
 //	                root-unreachable fallback (aggregators work in
 //	                parallel; failures here are non-fatal).
-//	local-merge →   each aggregator flushes its queued raw device
-//	federated-join: tables to the root; a late or unreachable
+//	local-merge →   each aggregator flushes its pending devices to
+//	federated-join: the root — a delta of each device's changed states,
+//	                or its full table — and the root applies them to
+//	                its per-device rows; a late or unreachable
 //	                aggregator is recorded in Late and the epoch
-//	                continues without it — its queue keeps the tables
+//	                continues without it — its queue keeps the changes
 //	                and the next epoch catches up.
 //	root join:      the root merges every key over all device tables
 //	                it now holds, minting
@@ -100,7 +102,7 @@ func (c *Coordinator) RunEpoch(keys []fleetd.Key) (EpochReport, error) {
 	for _, k := range keys {
 		info, err := c.Root.Merge(k.App, k.Platform)
 		if err != nil {
-			if strings.Contains(err.Error(), "no device tables") {
+			if errors.Is(err, fleetd.ErrNoTables) {
 				continue
 			}
 			return rep, fmt.Errorf("aggregator: epoch %d: root join for %s: %w", c.epoch, k, err)

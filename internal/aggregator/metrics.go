@@ -27,10 +27,16 @@ type Metrics struct {
 	// rejected counts uploads answered 429 because the upward queue was
 	// full — the hard backpressure signal.
 	rejected atomic.Int64
-	// forwarded counts device tables the root accepted; dropped counts
-	// tables the root rejected (and the aggregator discarded).
-	forwarded atomic.Int64
-	dropped   atomic.Int64
+	// forwarded counts device tables the root accepted, split by item
+	// kind into forwardedDelta and forwardedFull; staleResends counts
+	// deltas whose base the root no longer held, resent in full;
+	// dropped counts tables the root rejected (and the aggregator
+	// discarded).
+	forwarded      atomic.Int64
+	forwardedDelta atomic.Int64
+	forwardedFull  atomic.Int64
+	staleResends   atomic.Int64
+	dropped        atomic.Int64
 	// flushes / flushFailures count federation pushes by outcome; a
 	// failed push requeues its batch.
 	flushes       atomic.Int64
@@ -102,6 +108,13 @@ func (m *Metrics) write(w io.Writer, pending, queueLimit, keys, merged, uploads,
 	fmt.Fprintf(w, "# HELP agg_forwarded_tables_total Device tables the root accepted via federation pushes.\n")
 	fmt.Fprintf(w, "# TYPE agg_forwarded_tables_total counter\n")
 	fmt.Fprintf(w, "agg_forwarded_tables_total %d\n", m.forwarded.Load())
+	fmt.Fprintf(w, "# HELP agg_forwarded_items_total Federation items the root accepted, by kind (delta = changed states only, full = whole table).\n")
+	fmt.Fprintf(w, "# TYPE agg_forwarded_items_total counter\n")
+	fmt.Fprintf(w, "agg_forwarded_items_total{kind=\"delta\"} %d\n", m.forwardedDelta.Load())
+	fmt.Fprintf(w, "agg_forwarded_items_total{kind=\"full\"} %d\n", m.forwardedFull.Load())
+	fmt.Fprintf(w, "# HELP agg_stale_resends_total Delta items whose base generation the root no longer held, resent as full tables.\n")
+	fmt.Fprintf(w, "# TYPE agg_stale_resends_total counter\n")
+	fmt.Fprintf(w, "agg_stale_resends_total %d\n", m.staleResends.Load())
 	fmt.Fprintf(w, "# HELP agg_dropped_tables_total Device tables the root rejected and the aggregator discarded.\n")
 	fmt.Fprintf(w, "# TYPE agg_dropped_tables_total counter\n")
 	fmt.Fprintf(w, "agg_dropped_tables_total %d\n", m.dropped.Load())

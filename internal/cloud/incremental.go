@@ -111,12 +111,36 @@ func (m *Merger) Layout() (learnerName string, actions int, ok bool) {
 // Bytes returns the size of the contributors' packed rows.
 func (m *Merger) Bytes() int { return m.bytes }
 
+// Device returns device's stored rows, nil when it has none. They
+// belong to the merger: callers read them under the same serialization
+// as every other call and neither modify nor keep them.
+func (m *Merger) Device(device string) *learner.PackedSet { return m.devices[device] }
+
+// Changes is what an upload changed in a device's stored rows, bit for
+// bit. States lists, per role and ascending, every state whose row or
+// visit count is new or differs from the stored one; patching the old
+// rows with those states' new rows and counts (the delta-upload
+// semantics) reproduces the new rows, unless Replace is set: the
+// device had no rows, or a row or visit count it held is gone, which
+// only a full upload expresses. Metadata is not tracked.
+type Changes struct {
+	Replace bool
+	States  [][]core.StateKey
+}
+
 // Upload replaces device's contribution with set (a new device joins).
 // Every Q-value must be below MaxAbsQ in magnitude and each state's
 // weight sum must fit an int; fleetd's upload sanitizing guarantees
 // both. The merger keeps a packed copy of set, never set itself. On
 // error the merger is unchanged.
 func (m *Merger) Upload(device string, set *learner.TableSet) error {
+	return m.UploadChanges(device, set, nil)
+}
+
+// UploadChanges is Upload that also reports in ch (when non-nil) what
+// the upload changed in the device's stored rows. ch gets fresh
+// slices, which the caller may keep.
+func (m *Merger) UploadChanges(device string, set *learner.TableSet, ch *Changes) error {
 	if err := m.checkLayout(set); err != nil {
 		return err
 	}
@@ -132,6 +156,10 @@ func (m *Merger) Upload(device string, set *learner.TableSet) error {
 		return fmt.Errorf("cloud: %w", err)
 	}
 	prev := m.devices[device]
+	if ch != nil {
+		ch.Replace = prev == nil
+		ch.States = make([][]core.StateKey, len(next.Roles))
+	}
 	m.changed = m.changed[:0]
 	added := 0 // cells that new states would allocate
 	for r := range next.Roles {
@@ -140,17 +168,24 @@ func (m *Merger) Upload(device string, set *learner.TableSet) error {
 		if prev != nil {
 			pt = &prev.Roles[r]
 		}
+		var states []core.StateKey
+		dropped := false
 		j := 0 // the walk's position in the stored rows
 		for i, s := range nt.RowKeys() {
 			c := rowChange{role: r, s: s, row: nt.Row(i), w: packedWeight(nt, s)}
 			if pt != nil {
 				for ; j < pt.Len() && pt.RowKeys()[j] < s; j++ {
 					m.dropRow(r, pt, j) // the device dropped this state
+					dropped = true
 				}
 				if j < pt.Len() && pt.RowKeys()[j] == s {
 					c.prow, c.pw = pt.Row(j), packedWeight(pt, s)
 					j++
 					if c.pw == c.w && slices.Equal(c.prow, c.row) {
+						// Equal for the sums, but a stored -0 is not +0.
+						if ch != nil && !sameBits(c.prow, c.row) {
+							states = append(states, s)
+						}
 						continue
 					}
 				}
@@ -158,9 +193,20 @@ func (m *Merger) Upload(device string, set *learner.TableSet) error {
 			if err := m.admit(&c, nt.Actions, &added); err != nil {
 				return err
 			}
+			if ch != nil {
+				states = append(states, s)
+			}
 		}
 		for ; pt != nil && j < pt.Len(); j++ {
 			m.dropRow(r, pt, j)
+			dropped = true
+		}
+		if ch != nil {
+			if pt != nil {
+				states = visitChanges(states, pt, nt, &dropped)
+			}
+			ch.States[r] = states
+			ch.Replace = ch.Replace || dropped
 		}
 	}
 	if m.roles == nil {
@@ -183,6 +229,47 @@ func (m *Merger) Upload(device string, set *learner.TableSet) error {
 		m.bytes -= prev.Bytes()
 	}
 	return nil
+}
+
+// sameBits reports whether two rows hold the same float64 bits.
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// visitChanges appends to states (ascending, the rows' changed states)
+// every state whose visit count in nt is new or differs from pt's,
+// keeping the result ascending and free of repeats, and sets *dropped
+// when pt holds a visit count nt lacks.
+func visitChanges(states []core.StateKey, pt, nt *learner.PackedTable, dropped *bool) []core.StateKey {
+	rowChanged := len(states)
+	pkeys := pt.VisitKeys()
+	j := 0
+	for i, s := range nt.VisitKeys() {
+		for ; j < len(pkeys) && pkeys[j] < s; j++ {
+			*dropped = true
+		}
+		if j < len(pkeys) && pkeys[j] == s {
+			j++
+			if pt.VisitAt(j-1) == nt.VisitAt(i) {
+				continue
+			}
+		}
+		if _, ok := slices.BinarySearch(states[:rowChanged], s); !ok {
+			states = append(states, s)
+		}
+	}
+	if j < len(pkeys) {
+		*dropped = true
+	}
+	if len(states) > rowChanged {
+		slices.Sort(states)
+	}
+	return states
 }
 
 // dropRow queues the removal of the j-th stored row of role r.

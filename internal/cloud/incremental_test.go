@@ -1,10 +1,12 @@
 package cloud
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nextdvfs/internal/core"
@@ -590,4 +592,112 @@ func BenchmarkAccumulatorMerge(b *testing.B) {
 		m.Merge()
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "merges/s")
+}
+
+// TestUploadChangesPatchReproducesUpload pins Changes against the rows
+// the merger stores: patching a device's old rows with the listed
+// states' new rows and visit counts reproduces its new rows bit for
+// bit, every listed state really differs, and Replace is set exactly
+// when the device is new or a row or visit count it held is gone.
+func TestUploadChangesPatchReproducesUpload(t *testing.T) {
+	for _, name := range []string{"watkins", "doubleq"} {
+		rng := rand.New(rand.NewSource(int64(len(name)) + 7))
+		m := NewMerger()
+		var ch Changes
+		cur := randDeviceSet(rng, name, 9)
+		if err := m.UploadChanges("dev", cur, &ch); err != nil {
+			t.Fatal(err)
+		}
+		if !ch.Replace {
+			t.Fatal("a new device's upload does not replace")
+		}
+		replaced := 0
+		for round := 0; round < 200; round++ {
+			next := mutateDeviceSet(rng, cur)
+			for _, r := range next.Roles {
+				switch rng.Intn(4) {
+				case 0: // zero a value, or flip a zero's sign: -0 and +0
+					// are equal for the sums, not as stored bits
+					for _, row := range r.Table.Q {
+						row[0] = -row[0] * float64(rng.Intn(2))
+						break
+					}
+				case 1: // a visit count without a row changes or appears
+					r.Table.Visits[core.StateKey(1000+rng.Intn(5))] = rng.Intn(9)
+				}
+			}
+			prev, err := learner.Pack(cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.UploadChanges("dev", next.Clone(), &ch); err != nil {
+				t.Fatal(err)
+			}
+			dropped := false
+			for r, rt := range cur.Roles {
+				nt := next.Roles[r].Table
+				for s := range rt.Table.Q {
+					_, ok := nt.Q[s]
+					dropped = dropped || !ok
+				}
+				for s := range rt.Table.Visits {
+					_, ok := nt.Visits[s]
+					dropped = dropped || !ok
+				}
+			}
+			if ch.Replace != dropped {
+				t.Fatalf("%s round %d: Replace = %v, want %v", name, round, ch.Replace, dropped)
+			}
+			cur = next
+			if ch.Replace {
+				replaced++
+				continue
+			}
+			delta := learner.Must(name, 9).Snapshot()
+			for r, states := range ch.States {
+				dt, nt, pt := delta.Roles[r].Table, next.Roles[r].Table, prev.Roles[r]
+				if !slices.IsSorted(states) || len(slices.Compact(slices.Clone(states))) != len(states) {
+					t.Fatalf("%s round %d: states %v not ascending and distinct", name, round, states)
+				}
+				for _, s := range states {
+					row, hasRow := nt.Q[s]
+					v, hasVisit := nt.Visits[s]
+					same := true
+					if i, ok := pt.Find(s); ok != hasRow || hasRow && !sameBits(pt.Row(i), row) {
+						same = false
+					}
+					if pv, ok := pt.Visit(s); ok != hasVisit || pv != v {
+						same = false
+					}
+					if same {
+						t.Fatalf("%s round %d: state %d listed but unchanged", name, round, s)
+					}
+					if hasRow {
+						dt.Q[s] = row
+					}
+					if hasVisit {
+						dt.Visits[s] = v
+					}
+				}
+				dt.Steps, dt.TrainedUS, dt.ConvergedAtUS = nt.Steps, nt.TrainedUS, nt.ConvergedAtUS
+			}
+			if err := prev.Patch(delta); err != nil {
+				t.Fatal(err)
+			}
+			got, err := core.AppendPackedSetBinary(nil, "app", prev, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.AppendPackedSetBinary(nil, "app", m.Device("dev"), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s round %d: patching the listed states does not reproduce the upload", name, round)
+			}
+		}
+		if replaced == 0 || replaced == 200 {
+			t.Fatalf("%s: %d of 200 uploads replaced; the schedule misses a case", name, replaced)
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"nextdvfs/internal/learner"
@@ -129,6 +130,99 @@ func MarshalTableSetBinary(app string, set *TableSet, trained bool) ([]byte, err
 		}
 	}
 	return buf, nil
+}
+
+// AppendPackedSetBinary appends to buf the binary encoding of a packed
+// set: the bytes MarshalTableSetBinary(app, p.Unpack(), false) would
+// produce, written straight from the packed keys, which are already in
+// the codec's sorted order. A non-nil only encodes a delta instead:
+// role r carries just the rows and visit counts p holds for the states
+// only[r] lists (ascending), plus the full metadata.
+func AppendPackedSetBinary(buf []byte, app string, p *learner.PackedSet, only [][]StateKey) ([]byte, error) {
+	if p == nil || len(p.Roles) == 0 {
+		return nil, fmt.Errorf("core: nil table set for %q", app)
+	}
+	if only != nil && len(only) != len(p.Roles) {
+		return nil, fmt.Errorf("core: delta of %q lists %d roles, set has %d", app, len(only), len(p.Roles))
+	}
+	actions := p.Roles[0].Actions
+	for i := range p.Roles {
+		pt := &p.Roles[i]
+		if pt.Role == "" || slices.ContainsFunc(p.Roles[:i], func(o learner.PackedTable) bool { return o.Role == pt.Role }) {
+			return nil, fmt.Errorf("core: bad role %q in table set for %q", pt.Role, app)
+		}
+		if pt.Actions != actions {
+			return nil, fmt.Errorf("core: role %q of %q has %d actions, primary has %d", pt.Role, app, pt.Actions, actions)
+		}
+	}
+	buf = append(buf, binMagic...)
+	buf = append(buf, binVersion, 0) // no flags
+	buf = appendBinString(buf, app)
+	buf = appendBinString(buf, learner.Normalize(p.Learner))
+	buf = binary.AppendUvarint(buf, uint64(actions))
+	buf = binary.AppendUvarint(buf, uint64(len(p.Roles)))
+	for i := range p.Roles {
+		pt := &p.Roles[i]
+		buf = appendBinString(buf, pt.Role)
+		if i == 0 {
+			buf = binary.AppendVarint(buf, pt.Steps)
+			buf = binary.AppendVarint(buf, pt.TrainedUS)
+			buf = binary.AppendVarint(buf, pt.ConvergedAtUS)
+		}
+		// Row and visit indexes of the states to encode: all of them,
+		// or those of only[i] the role holds.
+		rows, visits := packedIndexes(pt, only, i)
+		buf = binary.AppendUvarint(buf, uint64(len(rows)))
+		keys := pt.RowKeys()
+		for j, r := range rows {
+			buf = appendPackedKey(buf, keys, rows, j)
+			for _, v := range pt.Row(r) {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			}
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(visits)))
+		keys = pt.VisitKeys()
+		for j, r := range visits {
+			buf = appendPackedKey(buf, keys, visits, j)
+			buf = binary.AppendVarint(buf, int64(pt.VisitAt(r)))
+		}
+	}
+	return buf, nil
+}
+
+// packedIndexes returns the row and visit indexes AppendPackedSetBinary
+// encodes for role i: every index when only is nil.
+func packedIndexes(pt *learner.PackedTable, only [][]StateKey, i int) (rows, visits []int) {
+	if only == nil {
+		return indexes(pt.Len()), indexes(len(pt.VisitKeys()))
+	}
+	for _, s := range only[i] {
+		if r, ok := pt.Find(s); ok {
+			rows = append(rows, r)
+		}
+		if v, ok := slices.BinarySearch(pt.VisitKeys(), s); ok {
+			visits = append(visits, v)
+		}
+	}
+	return rows, visits
+}
+
+func indexes(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// appendPackedKey writes the key of the j-th encoded index in the
+// codec's delta-from-previous form.
+func appendPackedKey(buf []byte, keys []StateKey, idx []int, j int) []byte {
+	prev := uint64(0)
+	if j > 0 {
+		prev = uint64(keys[idx[j-1]])
+	}
+	return appendBinKey(buf, uint64(keys[idx[j]]), prev, j == 0)
 }
 
 // MarshalTableBinary is MarshalTableSetBinary for a single-table

@@ -189,12 +189,18 @@ func (c *Client) uploadBody(device, platform, contentType string, baseGen int64,
 }
 
 // Merge asks the server to run a federated merge round for app×platform.
+// A key without device tables fails with ErrNoTables (HTTP 404).
 func (c *Client) Merge(app, platform string) (MergeInfo, error) {
 	u := fmt.Sprintf("%s/v1/merge?app=%s&platform=%s",
 		c.base, url.QueryEscape(app), url.QueryEscape(platform))
 	resp, err := c.http.Post(u, "application/json", nil)
 	if err != nil {
 		return MergeInfo{}, err
+	}
+	if resp.StatusCode == http.StatusNotFound {
+		err := apiErrorOf(resp)
+		resp.Body.Close()
+		return MergeInfo{}, fmt.Errorf("%w: %s", ErrNoTables, err)
 	}
 	var info MergeInfo
 	err = c.decode(resp, &info)

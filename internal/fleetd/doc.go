@@ -9,7 +9,11 @@
 //	PUT  /v1/table     upload one device-trained Q-table (the JSON that
 //	                   core.MarshalTable produces)
 //	POST /v1/merge     run a federated merge round for one app×platform
-//	                   (visit-weighted averaging, cloud.Merger)
+//	                   (visit-weighted averaging, cloud.Merger); 404
+//	                   (ErrNoTables) while the key holds no tables
+//	POST /v1/federate  an edge aggregator's batched push: per device a
+//	                   full table or a delta of its changed states on
+//	                   a base generation (see FederatedUpload)
 //	GET  /v1/policy    download the current merged policy for app×platform
 //	GET  /v1/apps      list known policies (optionally per platform)
 //	GET  /healthz      liveness + table/device counts

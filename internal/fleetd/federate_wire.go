@@ -7,42 +7,46 @@ import (
 )
 
 // FederateMediaType is the Content-Type of the binary federation
-// envelope (NXTF v1). The JSON envelope embeds each device body as a
-// json.RawMessage, which cannot carry the binary table encoding, so an
-// aggregator relaying binary device uploads must push the binary
-// envelope; JSON envelopes remain the default and stay byte-identical.
+// envelope (NXTF v2). The JSON envelope embeds each device body as a
+// json.RawMessage, which cannot carry the binary table encoding, so a
+// push with binary bodies (every aggregator push: edges encode the
+// rows they hold as NXTB) must use the binary envelope.
 const FederateMediaType = "application/x-nextdvfs-federate"
 
-// NXTF v1 layout, little-endian throughout:
+// NXTF v2 layout, little-endian throughout:
 //
-//	magic "NXTF" | version u8 | agg str |
+//	magic "NXTF" | version u8 (2) | agg str | uvarint root |
 //	uvarint device-count | device str ... |
-//	uvarint upload-count | (device str, platform str, body blob) ...
+//	uvarint upload-count |
+//	(device str, platform str, uvarint base-gen, body blob) ...
 //
-// where str and blob are uvarint length-prefixed byte strings. Counts
-// and lengths are bounds-checked against the remaining input before
-// allocation, and trailing bytes are rejected, mirroring the NXTB
-// table codec's hostile-input posture.
+// where base-gen 0 marks a full table and a positive base-gen a delta
+// (see FederatedUpload), and str and blob are uvarint length-prefixed
+// byte strings. The decoder accepts v2 only (v1 items had no base-gen).
+// Counts and lengths are bounds-checked against the remaining input
+// before allocation, and trailing bytes are rejected, mirroring the
+// NXTB table codec's hostile-input posture.
 const (
 	fedMagic   = "NXTF"
-	fedVersion = 1
+	fedVersion = 2
 )
 
-// MarshalFederateRequest encodes a federation push as an NXTF v1
+// MarshalFederateRequest encodes a federation push as an NXTF v2
 // envelope. Bodies travel verbatim, whichever table encoding they use.
 func MarshalFederateRequest(req FederateRequest) []byte {
-	size := len(fedMagic) + 1 + strSize(req.Agg) + binary.MaxVarintLen64
+	size := len(fedMagic) + 1 + strSize(req.Agg) + 2*binary.MaxVarintLen64
 	for _, d := range req.Devices {
 		size += strSize(d)
 	}
 	size += binary.MaxVarintLen64
 	for _, up := range req.Uploads {
-		size += strSize(up.Device) + strSize(up.Platform) + binary.MaxVarintLen64 + len(up.Body)
+		size += strSize(up.Device) + strSize(up.Platform) + 2*binary.MaxVarintLen64 + len(up.Body)
 	}
 	out := make([]byte, 0, size)
 	out = append(out, fedMagic...)
 	out = append(out, fedVersion)
 	out = appendStr(out, req.Agg)
+	out = binary.AppendUvarint(out, req.Root)
 	out = binary.AppendUvarint(out, uint64(len(req.Devices)))
 	for _, d := range req.Devices {
 		out = appendStr(out, d)
@@ -51,6 +55,7 @@ func MarshalFederateRequest(req FederateRequest) []byte {
 	for _, up := range req.Uploads {
 		out = appendStr(out, up.Device)
 		out = appendStr(out, up.Platform)
+		out = binary.AppendUvarint(out, uint64(up.BaseGen))
 		out = binary.AppendUvarint(out, uint64(len(up.Body)))
 		out = append(out, up.Body...)
 	}
@@ -108,7 +113,7 @@ func (r *fedReader) str(what string) (string, error) {
 	return string(b), err
 }
 
-// UnmarshalFederateRequest decodes an NXTF v1 envelope. Upload bodies
+// UnmarshalFederateRequest decodes an NXTF v2 envelope. Upload bodies
 // alias the input buffer (the caller owns it until the request is
 // fully absorbed).
 func UnmarshalFederateRequest(data []byte) (FederateRequest, error) {
@@ -125,6 +130,9 @@ func UnmarshalFederateRequest(data []byte) (FederateRequest, error) {
 	r := &fedReader{data: data, off: len(fedMagic) + 1}
 	var err error
 	if req.Agg, err = r.str("agg"); err != nil {
+		return req, err
+	}
+	if req.Root, err = r.uvarint(); err != nil {
 		return req, err
 	}
 	nDev, err := r.uvarint()
@@ -149,8 +157,9 @@ func UnmarshalFederateRequest(data []byte) (FederateRequest, error) {
 	if err != nil {
 		return req, err
 	}
-	// Each upload needs at least 3 length bytes (device, platform, body).
-	if nUp > uint64(len(r.data)-r.off)/3 {
+	// Each upload needs at least 4 bytes (device, platform and body
+	// lengths, base generation).
+	if nUp > uint64(len(r.data)-r.off)/4 {
 		return req, fmt.Errorf("fleetd: upload count %d exceeds remaining input", nUp)
 	}
 	if nUp > 0 {
@@ -163,6 +172,14 @@ func UnmarshalFederateRequest(data []byte) (FederateRequest, error) {
 			if up.Platform, err = r.str("upload platform"); err != nil {
 				return req, err
 			}
+			base, err := r.uvarint()
+			if err != nil {
+				return req, err
+			}
+			if base > math.MaxInt64 {
+				return req, fmt.Errorf("fleetd: upload base generation %d overflows int64", base)
+			}
+			up.BaseGen = int64(base)
 			if up.Body, err = r.bytes("upload body"); err != nil {
 				return req, err
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"path/filepath"
 	"strconv"
@@ -54,7 +55,7 @@ type Config struct {
 	// many device tables per request (0 → 64 MiB).
 	MaxFederateBytes int64
 	// MaxDevicesPerKey raises the distinct-devices-per-policy cap for
-	// root servers that absorb whole aggregator regions of raw device
+	// root servers that absorb whole aggregator regions of device
 	// tables (0 → the store default of 4096). It is clamped to
 	// math.MaxInt / 2^18 (8191 on 32-bit platforms) so a merged state's
 	// visit weight always fits an int.
@@ -73,6 +74,9 @@ type Server struct {
 	metrics *Metrics
 	rollout *rollout.Manager // nil unless Config.Rollout is set
 	mux     *http.ServeMux
+	// instance is this server's random, nonzero federation instance ID
+	// (see FederateReply.Root).
+	instance uint64
 
 	devMu       sync.Mutex
 	devices     map[string]struct{}
@@ -93,6 +97,9 @@ func NewServer(cfg Config) (*Server, error) {
 		store:   NewStoreMaxDevices(cfg.MaxDevicesPerKey),
 		metrics: NewMetrics(),
 		devices: make(map[string]struct{}),
+		// Drawn per start, so a restarted root's generations, which
+		// start over, never pass for the old ones.
+		instance: rand.Uint64() | 1,
 	}
 	if cfg.SnapshotDir != "" {
 		n, err := s.store.Restore(cfg.SnapshotDir)
@@ -329,6 +336,9 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) int {
 	// Latency covers the merge itself, captured once so the reply and
 	// the metric agree; snapshot disk I/O is deliberately excluded.
 	elapsed := time.Since(start)
+	if errors.Is(err, ErrNoTables) {
+		return writeErr(w, http.StatusNotFound, err)
+	}
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, err)
 	}

@@ -2,6 +2,7 @@ package fleetd
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/bits"
 	"net/http"
@@ -269,5 +270,22 @@ func TestDeviceTableBytesGauge(t *testing.T) {
 	}
 	if want := fmt.Sprintf("fleetd_device_table_bytes %d\n", 2*perDevice); !strings.Contains(text, want) {
 		t.Fatalf("metrics missing %q in:\n%s", want, text)
+	}
+}
+
+// TestMergeWithoutTablesIsErrNoTables: a key without device tables is
+// ErrNoTables from the store, a 404 from /v1/merge, and ErrNoTables
+// again from Client.Merge; a bad key stays a 400.
+func TestMergeWithoutTablesIsErrNoTables(t *testing.T) {
+	srv, client, done := newTestServer(t, Config{})
+	defer done()
+	if _, _, err := srv.Store().MergeSet(Key{App: "spotify", Platform: "note9"}); !errors.Is(err, ErrNoTables) {
+		t.Fatalf("store merge without tables: %v, want ErrNoTables", err)
+	}
+	if _, err := client.Merge("spotify", "note9"); !errors.Is(err, ErrNoTables) || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("client merge without tables: %v, want ErrNoTables from a 404", err)
+	}
+	if _, err := client.Merge("../x", "note9"); err == nil || errors.Is(err, ErrNoTables) {
+		t.Fatalf("merge of a bad key: %v, want a non-ErrNoTables error", err)
 	}
 }

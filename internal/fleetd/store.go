@@ -267,6 +267,18 @@ func (s *Store) UploadSetOwned(k Key, device string, set *learner.TableSet) (dev
 // generation alongside the device count — the value the server echoes
 // so the client can base its next delta upload on this one.
 func (s *Store) UploadSetGen(k Key, device string, set *learner.TableSet) (devices int, gen int64, err error) {
+	return s.uploadSet(k, device, set, nil)
+}
+
+// UploadSetChanges is UploadSetOwned that also reports in ch what the
+// upload changed in the device's stored rows (see cloud.Changes): the
+// states an edge aggregator forwards upward as a delta.
+func (s *Store) UploadSetChanges(k Key, device string, set *learner.TableSet, ch *cloud.Changes) (devices int, err error) {
+	devices, _, err = s.uploadSet(k, device, set, ch)
+	return devices, err
+}
+
+func (s *Store) uploadSet(k Key, device string, set *learner.TableSet, ch *cloud.Changes) (devices int, gen int64, err error) {
 	if err := k.validate(); err != nil {
 		return 0, 0, err
 	}
@@ -291,7 +303,7 @@ func (s *Store) UploadSetGen(k Key, device string, set *learner.TableSet) (devic
 		return 0, 0, err
 	}
 	sanitizeSet(set)
-	if err := e.merger.Upload(device, set); err != nil {
+	if err := e.merger.UploadChanges(device, set, ch); err != nil {
 		return 0, 0, fmt.Errorf("fleetd: %s: upload from %q: %w", k, device, err)
 	}
 	e.devGen[device]++
@@ -397,6 +409,29 @@ func (s *Store) UploadDelta(k Key, device string, delta *learner.TableSet, baseG
 	return len(e.devGen), e.devGen[device], nil
 }
 
+// AppendDeviceTable appends the binary (NXTB) encoding of the rows the
+// store holds for device under k: all of them, or with a non-nil only
+// just the states it lists per role, as a delta upload carries them
+// (see core.AppendPackedSetBinary). It fails when the store holds no
+// rows for the device.
+func (s *Store) AppendDeviceTable(buf []byte, k Key, device string, only [][]core.StateKey) ([]byte, error) {
+	sh := s.shardFor(k)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	var p *learner.PackedSet
+	if e := sh.entries[k]; e != nil {
+		p = e.merger.Device(device)
+	}
+	if p == nil {
+		return buf, fmt.Errorf("fleetd: %s: no stored table for %q", k, device)
+	}
+	return core.AppendPackedSetBinary(buf, k.App, p, only)
+}
+
+// ErrNoTables marks a merge round for a key that holds no device
+// tables yet. The server maps it to HTTP 404.
+var ErrNoTables = errors.New("fleetd: no device tables to merge")
+
 // MergeInfo summarizes one federated merge round.
 type MergeInfo struct {
 	App       string `json:"app"`
@@ -437,7 +472,7 @@ func (s *Store) MergeSet(k Key) (MergeInfo, *learner.TableSet, error) {
 	defer sh.mu.Unlock()
 	e := sh.entries[k]
 	if e == nil || len(e.devGen) == 0 {
-		return MergeInfo{}, nil, fmt.Errorf("fleetd: %s: no device tables to merge", k)
+		return MergeInfo{}, nil, fmt.Errorf("%w for %s", ErrNoTables, k)
 	}
 	merged := e.merger.Merge()
 	e.merged = merged

@@ -76,3 +76,73 @@ func BenchmarkStoreUpload(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFederate is the root's federation ingest without HTTP: one
+// 64-item push (NXTF envelope decode, then each item's body decode and
+// store apply) against a key holding 256 devices' 64-state tables.
+// full64 items carry whole tables; delta4 items carry 4 retrained
+// states on the device's current generation, the steady state of an
+// edge forwarding changed rows. Pushes cycle through the devices 64 at
+// a time, and each visit sends a device a table it does not hold.
+// Envelopes are built with the timer stopped.
+func BenchmarkFederate(b *testing.B) {
+	const devices, items = 256, 64
+	for _, kind := range []string{"full64", "delta4"} {
+		b.Run(kind, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			srv, err := NewServer(Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			k := Key{App: "spotify", Platform: "note9"}
+			bodies := make([][]byte, 16)
+			for i := range bodies {
+				set := benchTable(rng, 64)
+				if kind == "delta4" {
+					set = benchTable(rng, 4)
+				}
+				if bodies[i], err = core.MarshalTableSetBinary(k.App, set, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+			names, gens := make([]string, devices), make([]int64, devices)
+			for d := range names {
+				names[d] = fmt.Sprintf("dev-%05d", d)
+				if _, gens[d], err = srv.Store().UploadSetGen(k, names[d], benchTable(rng, 64)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			req := FederateRequest{Agg: "edge-0", Root: srv.instance, Uploads: make([]FederatedUpload, items)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				first := i % (devices / items) * items
+				for j := range req.Uploads {
+					d := first + j
+					req.Uploads[j] = FederatedUpload{
+						Device: names[d], Platform: k.Platform,
+						Body: bodies[(int(gens[d])+j)%len(bodies)],
+					}
+					if kind == "delta4" {
+						req.Uploads[j].BaseGen = gens[d]
+					}
+				}
+				data := MarshalFederateRequest(req)
+				b.StartTimer()
+				decoded, err := UnmarshalFederateRequest(data)
+				if err != nil {
+					b.Fatal(err)
+				}
+				reply := srv.federate(decoded)
+				if reply.Accepted != items {
+					b.Fatalf("push accepted %d of %d items: %v", reply.Accepted, items, reply.Errors)
+				}
+				for j, r := range reply.Results {
+					gens[first+j] = r.Gen
+				}
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pushes/s")
+		})
+	}
+}

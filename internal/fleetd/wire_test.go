@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"nextdvfs/internal/core"
@@ -391,5 +392,89 @@ func TestBinaryUploadsClampNonFinite(t *testing.T) {
 	}
 	if ct, body := getPolicy(t, ts.URL, ""); ct != "application/json" || len(body) == 0 {
 		t.Fatalf("JSON policy download: content type %q, %d bytes", ct, len(body))
+	}
+}
+
+// TestFederateDeltaItems pins the per-item results of a push, in both
+// envelopes: a full item answers the device's new generation, a delta
+// on that generation of this root instance patches the stored rows like
+// a direct delta upload, a delta on any other base — or named for
+// another root instance — is stale (and changes nothing), and a bad
+// body or base is rejected.
+func TestFederateDeltaItems(t *testing.T) {
+	for _, binary := range []bool{false, true} {
+		srv, ts := newWireServer(t, Config{})
+		c := NewClient(ts.URL)
+		c.UseBinary = binary
+		enc := core.MarshalTableSetCompact
+		if binary {
+			enc = core.MarshalTableSetBinary
+		}
+		body := func(tbl *core.QTable) []byte {
+			data, err := enc("game", learner.SingleTableSet(tbl), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}
+		push := func(root uint64, want []FederateResult, ups ...FederatedUpload) FederateReply {
+			t.Helper()
+			reply, err := c.Federate(FederateRequest{Agg: "edge-0", Root: root, Uploads: ups})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(reply.Results, want) {
+				t.Fatalf("binary=%v: federate reply = %+v, want results %+v", binary, reply, want)
+			}
+			return reply
+		}
+		base := devTable(1)
+		delta := core.NewQTable(base.Actions)
+		delta.Q[core.StateKey(10)] = []float64{9, 9, 9, 9, 9, 9, 9, 9, 9}
+		delta.Visits[core.StateKey(10)] = 40
+		delta.Steps = base.Steps + 1
+		root := push(0, []FederateResult{{Gen: 1}, {Gen: 1}, {Stale: true}},
+			FederatedUpload{Device: "dev-a", Platform: "note9", Body: body(base)},
+			FederatedUpload{Device: "dev-b", Platform: "note9", Body: body(devTable(2))},
+			FederatedUpload{Device: "dev-a", Platform: "note9", BaseGen: 1, Body: body(delta)},
+		).Root
+		ups := []FederatedUpload{
+			{Device: "dev-a", Platform: "note9", BaseGen: 1, Body: body(delta)},
+			{Device: "dev-b", Platform: "note9", BaseGen: 7, Body: body(delta)},
+			{Device: "dev-c", Platform: "note9", BaseGen: 1, Body: body(delta)},
+			{Device: "dev-b", Platform: "note9", Body: []byte(`{"garbage":true}`)},
+		}
+		want := []FederateResult{{Gen: 2}, {Stale: true}, {Stale: true}, {}}
+		if !binary { // NXTF carries base generations unsigned
+			ups = append(ups, FederatedUpload{Device: "dev-b", Platform: "note9", BaseGen: -1, Body: body(delta)})
+			want = append(want, FederateResult{})
+		}
+		if reply := push(root, want, ups...); reply.Accepted != 1 || reply.Stale != 2 || reply.Rejected != len(want)-3 {
+			t.Fatalf("binary=%v: federate counts = %+v", binary, reply)
+		}
+		push(root+1, []FederateResult{{Stale: true}},
+			FederatedUpload{Device: "dev-a", Platform: "note9", BaseGen: 2, Body: body(devTable(3))})
+
+		// The root now holds what direct uploads of the same tables hold.
+		ref := NewStore()
+		k := Key{App: "game", Platform: "note9"}
+		patched := base.Clone()
+		patched.Q[core.StateKey(10)], patched.Visits[core.StateKey(10)], patched.Steps = delta.Q[10], 40, delta.Steps
+		for dev, tbl := range map[string]*core.QTable{"dev-a": patched, "dev-b": devTable(2)} {
+			if _, err := ref.Upload(k, dev, tbl); err != nil {
+				t.Fatal(err)
+			}
+			got, err := srv.Store().AppendDeviceTable(nil, k, dev, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exp, err := ref.AppendDeviceTable(nil, k, dev, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, exp) {
+				t.Fatalf("binary=%v: root rows for %s differ from a direct upload's", binary, dev)
+			}
+		}
 	}
 }

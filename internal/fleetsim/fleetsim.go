@@ -85,7 +85,7 @@ type Options struct {
 	// in-process edge aggregators are stood up over the root server at
 	// baseURL, device i drives aggregator i%N (honoring Retry-After
 	// backpressure), and the final round becomes a federation epoch —
-	// aggregator-local merges, a flush of the raw device tables upward,
+	// aggregator-local merges, a flush of the devices' changed rows upward,
 	// then the root's federated join. The root's final table is
 	// byte-identical to the flat run's. Excludes Rollout.
 	Aggregators int

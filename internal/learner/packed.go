@@ -176,6 +176,9 @@ func (pt *PackedTable) VisitKeys() []StateKey {
 	return pt.keys[pt.nrows : pt.nrows+len(pt.visits) : pt.nrows+len(pt.visits)]
 }
 
+// VisitAt returns the count of the i-th visited state.
+func (pt *PackedTable) VisitAt(i int) int { return pt.visits[i] }
+
 // Visit returns the visit count of s and whether the table holds one.
 func (pt *PackedTable) Visit(s StateKey) (int, bool) {
 	if i, ok := slices.BinarySearch(pt.VisitKeys(), s); ok {

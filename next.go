@@ -533,8 +533,8 @@ type AggregatorOptions struct {
 
 // AggregatorServer is a running edge aggregator: devices check in,
 // upload tables and pull policies against it exactly as they would
-// against the root, while it merges locally and federates the raw
-// device tables upward in batches.
+// against the root, while it merges locally and federates each
+// device's changed rows upward in batches.
 type AggregatorServer struct {
 	inner *aggregator.Server
 	http  *http.Server
